@@ -74,7 +74,12 @@ def _record(token: str) -> db.KnotRecord:
         "unknown knot %r (give a built-in name or a PD code)" % token)
 
 
-def _emit(args, obj: dict, text: str) -> None:
+def _emit(args, obj: dict, text: str, stats: dict | None = None) -> None:
+    """Print obj as JSON with --json, else text; search stats, when
+    given, go in obj or as a last JSON line."""
+    if stats is not None:
+        obj["stats"] = stats
+        text += "\n" + json.dumps({"stats": stats}, sort_keys=True)
     if args.json:
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
@@ -121,7 +126,8 @@ def _cmd_colorings(args) -> int:
     if len(q) != 1:
         raise _ResolutionError("--quandle wants exactly one name")
     q = q[0]
-    count = count_colorings(d, q)
+    stats = {} if args.stats else None
+    count = count_colorings(d, q, stats=stats)
     obj = {"quandle": q.name, "total": count.total,
            "nontrivial": count.nontrivial}
     lines = ["%s: total %d, nontrivial %d"
@@ -131,7 +137,7 @@ def _cmd_colorings(args) -> int:
         cols = list_colorings(d, q, limit=limit)
         obj["colorings"] = [c.json_list() for c in cols]
         lines += [" ".join(map(str, c.assignment)) for c in cols]
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, obj, "\n".join(lines), stats)
     return 0
 
 
@@ -174,12 +180,15 @@ def _cmd_simplify(args) -> int:
 def _cmd_homcount(args) -> int:
     d = _diagram(args)
     p = _presentation(args, d)
-    counts = [(g.name, hom_count(p, g)) for g in _groups(args.groups)]
+    groups = _groups(args.groups)
+    stats = {g.name: {} for g in groups} if args.stats else None
+    counts = [(g.name, hom_count(p, g, stats and stats[g.name]))
+              for g in groups]
     obj = {"presentation": args.presentation,
            "counts": {n: c for n, c in counts},
            "abelianization": list(abelianize(p))}
     text = "\n".join("%s: %d" % nc for nc in counts)
-    _emit(args, obj, text)
+    _emit(args, obj, text, stats)
     return 0
 
 
@@ -250,6 +259,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--quandle", default="R3")
         p.add_argument("--list", type=int, nargs="?", const=0, default=None,
                        metavar="N", help="also print colorings (N = 0: all)")
+        p.add_argument("--stats", action="store_true",
+                       help="also print search stats as JSON")
     diagram_verb("colorings", _cmd_colorings,
                  "count quandle colorings", extra=col_opts)
 
@@ -271,6 +282,8 @@ def _parser() -> argparse.ArgumentParser:
     def hom_opts(p):
         pres_opts(p)
         p.add_argument("--groups", default="S3")
+        p.add_argument("--stats", action="store_true",
+                       help="also print search stats as JSON")
     diagram_verb("homcount", _cmd_homcount,
                  "count homomorphisms to finite groups", extra=hom_opts)
 

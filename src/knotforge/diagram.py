@@ -45,7 +45,9 @@ class NonPlanarError(DiagramError):
     """Face tracing over the rotation system fails the Euler check."""
 
 
-_TOKEN_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]\Z")
+# ASCII only: Unicode \d would read other scripts' digits as labels
+_TOKEN_RE = re.compile(
+    r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]\Z", re.ASCII)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,14 @@ tietze_simplify is asked to clean it up.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .diagram import Diagram
 from .groups import FiniteGroup
 from .snf import smith_diagonal
+from .solve import search
 
 Letter = tuple[int, int]
 
@@ -367,74 +369,32 @@ def abelianize(p: GroupPresentation) -> tuple[int, ...]:
     return tuple(diag + [0] * (n - len(diag)))
 
 
-def hom_count(p: GroupPresentation, g: FiniteGroup) -> int:
-    """Number of homomorphisms from the presented group into g, by
-    backtracking over generator images.  Generators missing from every
-    relator contribute a free factor of |g| each."""
-    rels = [w.letters for w in p.relators if w.letters]
+def hom_count(p: GroupPresentation, g: FiniteGroup,
+              stats: dict | None = None) -> int:
+    """Number of homomorphisms from the presented group into g.  A
+    relator in which a generator occurs once determines that
+    generator's image from the others, so the search (solve.py)
+    branches only on images nothing determines.  Generators missing
+    from every relator contribute a free factor of |g| each.
+    ``stats``, if given, collects branch points, forced steps and
+    nodes."""
     n = len(p.generators)
-    used = sorted({gi for r in rels for gi, _ in r})
-    free = n - len(used)
-
+    one = n     # a variable pinned to the identity
     mul = g.rows
-    invs = g.inverses
-    ident = g.identity
+    div = [[row[j] for j in g.inverses] for row in mul]   # a * x^-1
 
-    if not used:
-        return g.order ** free
+    def fold(word: Sequence[Letter]) -> tuple:
+        return tuple((mul if e > 0 else div, gi) for gi, e in word)
 
-    gensets = [frozenset(gi for gi, _ in r) for r in rels]
-    appear: dict[int, int] = {gi: 0 for gi in used}
-    for r in rels:
-        for gi, _ in r:
-            appear[gi] += 1
-
-    picked: set[int] = set()
-    order: list[int] = []
-    done: set[int] = set()
-    while len(order) < len(used):
-        best = None
-        best_key = None
-        for cand in used:
-            if cand in picked:
-                continue
-            newly = sum(1 for i, gs in enumerate(gensets)
-                        if i not in done and gs <= picked | {cand})
-            key = (newly, appear[cand], -cand)
-            if best_key is None or key > best_key:
-                best, best_key = cand, key
-        order.append(best)
-        picked.add(best)
-        for i, gs in enumerate(gensets):
-            if i not in done and gs <= picked:
-                done.add(i)
-
-    pos = {gi: i for i, gi in enumerate(order)}
-    by_depth: list[list[tuple[Letter, ...]]] = [[] for _ in order]
-    for r, gs in zip(rels, gensets):
-        by_depth[max(pos[gi] for gi in gs)].append(r)
-
-    images = [0] * n
-    norder = g.order
-
-    def dfs(depth: int) -> int:
-        if depth == len(order):
-            return 1
-        gen = order[depth]
-        total = 0
-        for v in range(norder):
-            images[gen] = v
-            ok = True
-            for r in by_depth[depth]:
-                acc = ident
-                for gi, e in r:
-                    x = images[gi]
-                    acc = mul[acc][x if e > 0 else invs[x]]
-                if acc != ident:
-                    ok = False
-                    break
-            if ok:
-                total += dfs(depth + 1)
-        return total
-
-    return dfs(0) * g.order ** free
+    cons = []
+    for r in (w.letters for w in p.relators):
+        seen = Counter(gi for gi, _ in r)
+        solvers = {}
+        for i, (gi, e) in enumerate(r):
+            if seen[gi] == 1:
+                # gi^e * rest == 1
+                rest = r[i + 1:] + r[:i]
+                solvers[gi] = (one, fold(rest if e < 0 else invert(rest)))
+        cons.append((one, fold(r), one, solvers))
+    return search(n + 1, g.order, cons, known={one: g.identity},
+                  stats=stats)

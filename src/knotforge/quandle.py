@@ -11,15 +11,13 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 from operator import index
 from typing import NamedTuple
 
-import numpy as np
-
 from .diagram import Diagram
 from .groups import FiniteGroup, conjugate, symmetric_group
+from .solve import search
 
 
 class OutOfRangeError(ValueError):
@@ -124,26 +122,18 @@ def check_axioms(table) -> AxiomReport:
 
 @dataclass(frozen=True, eq=False)
 class FiniteQuandle:
+    """``rows[a][b]`` is a <| b; ``inv_rows`` undoes it column by
+    column, ``inv_rows[a <| b][b] == a``."""
+
     order: int
-    table: np.ndarray
-    inv_table: np.ndarray
+    rows: list[list[int]]
+    inv_rows: list[list[int]]
     name: str = "Q"
-
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.table]
-
-    @cached_property
-    def inv_rows(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.inv_table]
-
-    def op(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
     def json_dict(self) -> dict:
         return {
             "order": self.order,
-            "table": [[int(v) for v in row] for row in self.table],
+            "table": [list(row) for row in self.rows],
         }
 
 
@@ -160,11 +150,7 @@ def from_table(table, name: str = "Q") -> FiniteQuandle:
     for a, row in enumerate(rows):
         for b, v in enumerate(row):
             inv[v][b] = a
-    t = np.array(rows, dtype=np.int64)
-    inv_t = np.array(inv, dtype=np.int64)
-    t.setflags(write=False)
-    inv_t.setflags(write=False)
-    return FiniteQuandle(n, t, inv_t, name)
+    return FiniteQuandle(n, rows, inv, name)
 
 
 def dihedral(n: int) -> FiniteQuandle:
@@ -241,122 +227,46 @@ class ColoringCount(NamedTuple):
     nontrivial: int
 
 
-def _constraints(d: Diagram) -> list[tuple[int, int, int, int]]:
-    """(under-in arc, over arc, under-out arc, sign) per crossing."""
+def _constraints(d: Diagram, q: FiniteQuandle) -> list[tuple]:
+    """One rule per crossing, out = in <|^sign over, which solves the
+    under-out arc from the other two, or the under-in arc backwards."""
     arc = d.arc_of_edge
-    return [(arc[x.under_in], arc[x.over_in], arc[x.under_out], x.sign)
-            for x in d.crossings]
+    out = []
+    for x in d.crossings:
+        i, b, o = arc[x.under_in], arc[x.over_in], arc[x.under_out]
+        fwd, back = (q.rows, q.inv_rows) if x.sign > 0 else \
+            (q.inv_rows, q.rows)
+        solvers = {}
+        if o not in (i, b):
+            solvers[o] = (i, ((fwd, b),))
+        if i not in (o, b):
+            solvers[i] = (o, ((back, b),))
+        out.append((i, ((fwd, b),), o, solvers))
+    return out
 
 
-def _plan(d: Diagram):
-    """Decide, once per diagram, which arcs are free and which are
-    forced from already colored ones, and when each crossing rule
-    becomes checkable."""
-    cons = _constraints(d)
-    n_arcs = len(d.arcs)
-    colored: set[int] = set()
-    used_as_rule = [False] * len(cons)
-    steps = []
-    while len(colored) < n_arcs:
-        forced = None
-        for k, (i, b, o, s) in enumerate(cons):
-            if used_as_rule[k] or b not in colored:
-                continue
-            if i in colored and o not in colored:
-                forced = ("force_out", o, k)
-                break
-            if o in colored and i not in colored:
-                forced = ("force_in", i, k)
-                break
-        if forced is None:
-            arc = min(a for a in range(n_arcs) if a not in colored)
-            step = ("branch", arc, None)
-        else:
-            used_as_rule[forced[2]] = True
-            step = forced
-        target = step[1]
-        colored.add(target)
-        checks = [k for k, (i, b, o, s) in enumerate(cons)
-                  if not used_as_rule[k]
-                  and i in colored and b in colored and o in colored
-                  and target in (i, b, o)]
-        steps.append((step, checks))
-    return cons, steps
-
-
-def count_colorings(d: Diagram, q: FiniteQuandle) -> ColoringCount:
+def count_colorings(d: Diagram, q: FiniteQuandle,
+                    stats: dict | None = None) -> ColoringCount:
     """Exact number of colorings of d by q, and the count with the
-    constant ones removed."""
-    cons, steps = _plan(d)
-    t, inv = q.rows, q.inv_rows
-    order = q.order
-    colors = [0] * len(d.arcs)
-
-    def ok(k: int) -> bool:
-        i, b, o, s = cons[k]
-        expect = t[colors[i]][colors[b]] if s > 0 else inv[colors[i]][colors[b]]
-        return colors[o] == expect
-
-    def run(depth: int) -> int:
-        if depth == len(steps):
-            return 1
-        (kind, arc, k), checks = steps[depth]
-        if kind == "branch":
-            total = 0
-            for v in range(order):
-                colors[arc] = v
-                if all(ok(c) for c in checks):
-                    total += run(depth + 1)
-            return total
-        i, b, o, s = cons[k]
-        if kind == "force_out":
-            v = t[colors[i]][colors[b]] if s > 0 else inv[colors[i]][colors[b]]
-        else:
-            v = inv[colors[o]][colors[b]] if s > 0 else t[colors[o]][colors[b]]
-        colors[arc] = v
-        if not all(ok(c) for c in checks):
-            return 0
-        return run(depth + 1)
-
-    total = run(0)
-    return ColoringCount(total, total - order)
+    constant ones removed.  Arcs one crossing rule determines are
+    solved, not tried; the search branches only on the few arcs that
+    fix the rest (see solve.py).  ``stats``, if given, collects the
+    search's branch points, forced steps and nodes."""
+    total = search(len(d.arcs), q.order, _constraints(d, q), stats=stats)
+    return ColoringCount(total, total - q.order)
 
 
 def list_colorings(d: Diagram, q: FiniteQuandle,
                    limit: int | None = None) -> list[Coloring]:
     """Satisfying colorings in lexicographic order of the arc color
-    tuple, at most limit of them if one is given."""
-    cons = _constraints(d)
-    n_arcs = len(d.arcs)
-    by_last: dict[int, list[int]] = {}
-    for k, (i, b, o, s) in enumerate(cons):
-        by_last.setdefault(max(i, b, o), []).append(k)
-    t, inv = q.rows, q.inv_rows
-    cap = float("inf") if limit is None else limit
-    out: list[Coloring] = []
-    colors = [0] * n_arcs
-
-    def ok(k: int) -> bool:
-        i, b, o, s = cons[k]
-        expect = t[colors[i]][colors[b]] if s > 0 else inv[colors[i]][colors[b]]
-        return colors[o] == expect
-
-    def walk(arc: int):
-        if len(out) >= cap:
-            return
-        if arc == n_arcs:
-            out.append(Coloring(tuple(colors)))
-            return
-        for v in range(q.order):
-            colors[arc] = v
-            if all(ok(k) for k in by_last.get(arc, ())):
-                walk(arc + 1)
-            if len(out) >= cap:
-                return
-
-    if cap > 0:
-        walk(0)
-    return out
+    tuple, at most limit of them if one is given.  Every coloring is
+    found by the same search as count_colorings, then sorted."""
+    found: list[tuple[int, ...]] = []
+    search(len(d.arcs), q.order, _constraints(d, q), found=found)
+    found.sort()
+    if limit is not None:
+        found = found[:max(limit, 0)]
+    return [Coloring(c) for c in found]
 
 
 def quandle_by_name(name: str) -> FiniteQuandle:

@@ -23,12 +23,14 @@ def smith_diagonal(matrix) -> list[int]:
     diag: list[int] = []
     t = 0
     while t < min(m, n):
-        pivot = None
+        pivot, least = None, 0
         for i in range(t, m):
             for j in range(t, n):
                 v = abs(mat[i][j])
-                if v and (pivot is None or v < abs(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                if v and (not least or v < least):
+                    pivot, least = (i, j), v
+            if least == 1:      # no smaller pivot exists
+                break
         if pivot is None:
             break
 
@@ -62,7 +64,7 @@ def smith_diagonal(matrix) -> list[int]:
 
         # the pivot must divide everything below and to the right
         retry = False
-        for i in range(t + 1, m):
+        for i in range(t + 1, m) if abs(mat[t][t]) != 1 else ():
             for j in range(t + 1, n):
                 if mat[i][j] % mat[t][t]:
                     for jj in range(t, n):

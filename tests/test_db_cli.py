@@ -19,6 +19,7 @@ from knotforge import (
 )
 from knotforge.cli import main
 from knotforge.db import UnknownKnotError, Verdict
+from oracles import braid_closure_pd
 
 
 def test_builtin_lookup():
@@ -231,3 +232,36 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == 9
+
+
+def test_cli_large_inputs_end_cleanly(capsys):
+    # T(2,1201): deep enough that a recursive search would overflow
+    pd = braid_closure_pd([1] * 1201, 2)
+    code, out, _ = run_cli(capsys, "colorings", "--pd", pd, "--quandle",
+                           "R3", "--json")
+    assert code == 0
+    assert json.loads(out)["total"] == 3
+    code, out, _ = run_cli(capsys, "homcount", "--pd", pd, "--groups", "S3",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"S3": 6}
+
+
+def test_cli_stats(capsys):
+    code, plain, _ = run_cli(capsys, "colorings", "--knot", "figure8",
+                             "--quandle", "QS4")
+    code, out, _ = run_cli(capsys, "colorings", "--knot", "figure8",
+                           "--quandle", "QS4", "--stats")
+    assert code == 0
+    head, last = out.rstrip("\n").rsplit("\n", 1)
+    assert head + "\n" == plain
+    stats = json.loads(last)["stats"]
+    assert set(stats) == {"branch_points", "forced_steps", "nodes"}
+    # 4 arcs: each is branched on or forced
+    assert stats["branch_points"] + stats["forced_steps"] == 4
+    code, out, _ = run_cli(capsys, "homcount", "--knot", "trefoil",
+                           "--groups", "S3,A4", "--stats", "--json")
+    obj = json.loads(out)
+    assert obj["counts"] == {"S3": 12, "A4": 36}
+    assert set(obj["stats"]) == {"S3", "A4"}
+    assert obj["stats"]["S3"]["nodes"] > 0

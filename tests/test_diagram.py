@@ -108,6 +108,12 @@ def test_malformed_tokens():
             parse_pd(bad)
 
 
+def test_non_ascii_digits_rejected():
+    # Arabic-Indic one in place of the trefoil's first label
+    with pytest.raises(MalformedTokenError):
+        parse_pd("X[\u0661,4,2,5];X[3,6,4,1];X[5,2,6,3]")
+
+
 def test_edge_degree_errors():
     # labels each appear twice here, but the under-strand through the
     # first crossing would need succ(1) = 3
