@@ -23,7 +23,7 @@ from .quandle import count_colorings, list_colorings, quandle_by_name
 
 
 class _ResolutionError(Exception):
-    """A name on the command line does not resolve."""
+    """A name or option on the command line does not resolve."""
 
 
 def _diagram(args) -> Diagram:
@@ -126,6 +126,8 @@ def _cmd_colorings(args) -> int:
     if len(q) != 1:
         raise _ResolutionError("--quandle wants exactly one name")
     q = q[0]
+    if args.list is not None and args.list < 0:
+        raise _ResolutionError("--list wants N >= 0, got %d" % args.list)
     stats = {} if args.stats else None
     count = count_colorings(d, q, stats=stats)
     obj = {"quandle": q.name, "total": count.total,
@@ -150,7 +152,11 @@ def _cmd_wirtinger(args) -> int:
 
 def _cmd_ab(args) -> int:
     d = _diagram(args)
-    p = alexander_briggs(d, base_edge=args.base_edge)
+    e = args.base_edge
+    if e is not None and d.crossings and not 1 <= e <= d.edge_count:
+        raise _ResolutionError(
+            "base edge %d out of range 1..%d" % (e, d.edge_count))
+    p = alexander_briggs(d, base_edge=e)
     _emit(args, p.json_dict(), _pres_text(p))
     return 0
 
@@ -199,6 +205,8 @@ def _cmd_moves(args) -> int:
         obj = {"sites": [str(s) for s in sites]}
         _emit(args, obj, "\n".join(str(s) for s in sites) or "none")
         return 0
+    if args.steps < 0:
+        raise _ResolutionError("--steps must be >= 0, got %d" % args.steps)
     cap = args.cap
     if cap is None:
         cap = d.crossing_count + 6

@@ -1,17 +1,16 @@
 """Built-in knot table, pairwise separation verdicts, and invariant
 reports.
 
-The table holds the three desk knots.  Reports recompute every cell
-through the library proper; nothing here caches, so a report cell can
-always be checked against a direct call.  The JSON form uses plain
-dicts, lists, strings and ints and parses back to itself.
+The table holds the three desk knots.  Reports compute every cell
+through the library proper, so a report cell can always be checked
+against a direct call; pair verdicts reuse the rows' coloring totals.
+The JSON form uses plain dicts, lists, strings and ints and parses
+back to itself.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,23 +86,21 @@ def distinguish(a: KnotRecord, b: KnotRecord,
     that outcome is INCONCLUSIVE rather than any claim of equality.
     """
     da, db = a.diagram(), b.diagram()
-    for q in quandles:
-        ca = count_colorings(da, q).total
-        cb = count_colorings(db, q).total
+    return _verdict(quandles, ((count_colorings(da, q).total,
+                                count_colorings(db, q).total)
+                               for q in quandles))
+
+
+def _verdict(quandles: Sequence[FiniteQuandle], totals) -> Verdict:
+    """The verdict for (total a, total b) pairs given in quandle order;
+    a lazy iterable stops counting at the first mismatch."""
+    for q, (ca, cb) in zip(quandles, totals):
         if ca != cb:
             return Verdict("DISTINCT", q.name, (ca, cb))
     return Verdict("INCONCLUSIVE")
 
 
 # ---------------------------------------------------------- reports
-
-
-def _threads() -> int:
-    raw = os.environ.get("KNOTFORGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _h1_text(factors: Sequence[int]) -> str:
@@ -169,63 +166,38 @@ def report(knots: Sequence[KnotRecord],
            groups: Sequence[FiniteGroup]) -> InvariantReport:
     """One row per knot, one separation verdict per pair.
 
-    Cells are independent computations; KNOTFORGE_THREADS > 1 lets a
-    thread pool evaluate them concurrently.  Row and cell order follow
-    the input order either way.
+    Rows follow the input order.  Each pair's verdict is read off the
+    coloring totals the rows already hold, by the same rule as
+    ``distinguish``.
     """
     recs = list(knots)
     qs = list(quandles)
     gs = list(groups)
 
-    diags = [r.diagram() for r in recs]
-    press = [wirtinger(d) for d in diags]
     rows: list[dict] = []
-    for rec, d, pres in zip(recs, diags, press):
+    totals: list[list[int]] = []
+    for rec in recs:
+        d = rec.diagram()
+        pres = wirtinger(d)
+        counts = [count_colorings(d, q) for q in qs]
+        simple = tietze_simplify(pres)
         rows.append({
             "name": rec.name,
             "pd": rec.pd,
             "crossings": d.crossing_count,
             "writhe": d.writhe,
-            "colorings": {},
+            "colorings": {q.name: list(c) for q, c in zip(qs, counts)},
             "wirtinger": [len(pres.generators), len(pres.relators)],
-            "simplified": None,
-            "homs": {},
-            "h1": None,
+            "simplified": [len(simple.generators), len(simple.relators)],
+            "homs": {g.name: hom_count(pres, g) for g in gs},
+            "h1": list(abelianize(pres)),
         })
-
-    slots: list[tuple[int, str, str | None]] = []
-    thunks = []
-    for i, (d, pres) in enumerate(zip(diags, press)):
-        for q in qs:
-            slots.append((i, "colorings", q.name))
-            thunks.append(lambda d=d, q=q: list(count_colorings(d, q)))
-        for g in gs:
-            slots.append((i, "homs", g.name))
-            thunks.append(lambda pres=pres, g=g: hom_count(pres, g))
-        slots.append((i, "simplified", None))
-        thunks.append(lambda pres=pres: (
-            lambda s: [len(s.generators), len(s.relators)])(
-                tietze_simplify(pres)))
-        slots.append((i, "h1", None))
-        thunks.append(lambda pres=pres: list(abelianize(pres)))
-
-    n = _threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            values = list(pool.map(lambda f: f(), thunks))
-    else:
-        values = [f() for f in thunks]
-
-    for (i, field, key), v in zip(slots, values):
-        if key is None:
-            rows[i][field] = v
-        else:
-            rows[i][field][key] = v
+        totals.append([c.total for c in counts])
 
     pairs = []
     for i in range(len(recs)):
         for j in range(i + 1, len(recs)):
-            v = distinguish(recs[i], recs[j], qs)
+            v = _verdict(qs, zip(totals[i], totals[j]))
             pairs.append({
                 "a": recs[i].name,
                 "b": recs[j].name,

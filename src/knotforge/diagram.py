@@ -111,9 +111,6 @@ class Region:
     index: int
     boundary: tuple[Corner, ...]
 
-    def edge_sides(self) -> tuple[tuple[int, str], ...]:
-        return tuple((c.edge, c.side) for c in self.boundary)
-
 
 @dataclass(frozen=True)
 class Diagram:
@@ -310,30 +307,6 @@ def parse_pd(text: str) -> Diagram:
             "Euler check failed: V-E+F = %d-%d+%d != 2" % (n, 2 * n, faces))
 
     return Diagram(tuple(crossings), 2 * n, False)
-
-
-def arcs(d: Diagram) -> list[Arc]:
-    return list(d.arcs)
-
-
-def regions(d: Diagram) -> list[Region]:
-    return list(d.regions)
-
-
-def writhe(d: Diagram) -> int:
-    return d.writhe
-
-
-def to_gauss(d: Diagram) -> str:
-    return d.to_gauss()
-
-
-def render_pd(d: Diagram) -> str:
-    return d.render_pd()
-
-
-def to_json_dict(d: Diagram) -> dict:
-    return d.json_dict()
 
 
 def canonical_pd(d: Diagram) -> str:

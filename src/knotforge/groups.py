@@ -1,6 +1,6 @@
 """Small finite groups as Cayley tables.
 
-Composition reads left to right: ``table[i, j]`` is "do i, then j".
+Composition reads left to right: ``rows[i][j]`` is "do i, then j".
 For permutation groups that means (i * j)(x) = j(i(x)).  This is the
 order that makes conjugation ``y^-1 x y`` agree with the tetrahedral
 quandle table used elsewhere in the package, so don't flip it.
@@ -9,10 +9,8 @@ quandle table used elsewhere in the package, so don't flip it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
-
-import numpy as np
+from operator import index
 
 # validating the group laws is cubic in the order, so cap it
 MAX_VALIDATED_ORDER = 120
@@ -21,20 +19,14 @@ MAX_VALIDATED_ORDER = 120
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     order: int
-    table: np.ndarray
+    rows: list[list[int]]
     identity: int
     inverses: tuple[int, ...]
     name: str = "G"
     element_names: tuple[str, ...] | None = None
 
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """Plain nested lists, noticeably faster than ndarray indexing
-        in the hom-counting inner loop."""
-        return [[int(v) for v in row] for row in self.table]
-
     def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        return self.rows[i][j]
 
     def inv(self, i: int) -> int:
         return self.inverses[i]
@@ -42,45 +34,58 @@ class FiniteGroup:
     def json_dict(self) -> dict:
         return {
             "order": self.order,
-            "table": [[int(v) for v in row] for row in self.table],
+            "table": [list(row) for row in self.rows],
             "identity": self.identity,
         }
 
 
 def from_table(table, name: str = "G", element_names=None) -> FiniteGroup:
     """Build a group from a Cayley table, verifying the group laws
-    exhaustively (identity, inverses, associativity over all triples)."""
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("Cayley table must be square")
-    n = arr.shape[0]
+    exhaustively (identity, associativity over all triples, inverses)."""
+    try:
+        t = [list(row) for row in table]
+    except TypeError:
+        raise ValueError("Cayley table must be square") from None
+    n = len(t)
     if n == 0:
         raise ValueError("empty Cayley table")
+    if any(len(row) != n for row in t):
+        raise ValueError("Cayley table must be square")
     if n > MAX_VALIDATED_ORDER:
         raise ValueError("group order %d exceeds the validated maximum %d"
                          % (n, MAX_VALIDATED_ORDER))
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError("Cayley table entries must lie in 0..%d" % (n - 1))
+    for row in t:
+        for j, v in enumerate(row):
+            try:
+                v = row[j] = index(v)
+            except TypeError:
+                raise ValueError("Cayley table entries must be integers") \
+                    from None
+            if not 0 <= v < n:
+                raise ValueError(
+                    "Cayley table entries must lie in 0..%d" % (n - 1))
 
-    rng = np.arange(n)
-    ids = [i for i in range(n)
-           if (arr[i] == rng).all() and (arr[:, i] == rng).all()]
+    rng = list(range(n))
+    ids = [i for i in rng
+           if t[i] == rng and all(t[a][i] == a for a in rng)]
     if len(ids) != 1:
         raise ValueError("table has no two-sided identity")
     e = ids[0]
 
-    if not (arr[arr] == arr[:, arr]).all():
-        raise ValueError("table is not associative")
+    # (a*b)*c == a*(b*c), one row of c at a time
+    for ta in t:
+        for b in rng:
+            if t[ta[b]] != [ta[x] for x in t[b]]:
+                raise ValueError("table is not associative")
 
     inverses = []
-    for i in range(n):
-        js = np.flatnonzero(arr[i] == e)
-        if len(js) != 1 or arr[js[0], i] != e:
+    for i in rng:
+        js = [j for j in rng if t[i][j] == e]
+        if len(js) != 1 or t[js[0]][i] != e:
             raise ValueError("element %d has no two-sided inverse" % i)
-        inverses.append(int(js[0]))
+        inverses.append(js[0])
 
-    arr.setflags(write=False)
-    return FiniteGroup(n, arr, e, tuple(inverses), name,
+    return FiniteGroup(n, t, e, tuple(inverses), name,
                        tuple(element_names) if element_names else None)
 
 
@@ -94,12 +99,8 @@ def _perm_parity(p) -> int:
 
 
 def _perm_group(perms, name: str) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(q[x] for x in p)]
+    pos = {p: i for i, p in enumerate(perms)}
+    table = [[pos[tuple(q[x] for x in p)] for q in perms] for p in perms]
     names = tuple("".join(map(str, p)) for p in perms)
     return from_table(table, name, names)
 
@@ -123,7 +124,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if not 1 <= n <= MAX_VALIDATED_ORDER:
         raise ValueError("cyclic_group supports n in 1..%d, got %r"
                          % (MAX_VALIDATED_ORDER, n))
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return from_table(table, "Z%d" % n, tuple(str(i) for i in range(n)))
 
 

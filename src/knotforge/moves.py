@@ -321,6 +321,8 @@ def random_walk(d: Diagram, steps: int, seed: int,
     Growing moves are excluded when they would push the crossing count
     past max_crossings; a step with no sites at all keeps the diagram.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0, got %d" % steps)
     rng = random.Random(seed)
     out = [d]
     cur = d

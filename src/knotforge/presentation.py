@@ -192,7 +192,8 @@ def alexander_briggs(d: Diagram, base_edge: int | None = None) -> GroupPresentat
     if base_edge is None:
         base_edge = d.crossings[0].over_in
     if not 1 <= base_edge <= d.edge_count:
-        raise ValueError("base edge %d out of range" % base_edge)
+        raise ValueError("base edge %d out of range 1..%d"
+                         % (base_edge, d.edge_count))
 
     hc, role = d.edge_head[base_edge]
     if role == "U":

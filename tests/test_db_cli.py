@@ -19,6 +19,7 @@ from knotforge import (
 )
 from knotforge.cli import main
 from knotforge.db import UnknownKnotError, Verdict
+from knotforge.quandle import from_table
 from oracles import braid_closure_pd
 
 
@@ -83,16 +84,22 @@ def test_report_json_and_text():
     assert report([], [], []).text() == "no knots\n"
 
 
-def test_report_threaded_matches_serial(monkeypatch):
+def test_report_verdicts_match_distinguish():
+    # a trivial quandle and QS4 both named "R3", then the real R3: the
+    # verdicts must come from each quandle's own counts, not from the
+    # last quandle that carries the name
+    trivial = from_table([[0, 0], [1, 1]], name="R3")
+    fake = from_table(tetrahedral().rows, name="R3")
+    qs = [trivial, fake, dihedral(3)]
     knots = [builtin(n) for n in builtin_names()]
-    qs = [dihedral(3), tetrahedral()]
-    gs = [symmetric_group(3)]
-    serial = report(knots, qs, gs)
-    monkeypatch.setenv("KNOTFORGE_THREADS", "3")
-    threaded = report(knots, qs, gs)
-    assert threaded.json_dict() == serial.json_dict()
-    monkeypatch.setenv("KNOTFORGE_THREADS", "not-a-number")
-    assert report(knots, qs, gs).json_dict() == serial.json_dict()
+    rep = report(knots, qs, [])
+    want = [distinguish(a, b, qs)
+            for i, a in enumerate(knots) for b in knots[i + 1:]]
+    got = [Verdict(p["verdict"], p["witness"],
+                   tuple(p["counts"]) if p["counts"] else None)
+           for p in rep.pairwise]
+    assert got == want
+    assert got[0] == Verdict("DISTINCT", "R3", (4, 16))
 
 
 def test_verdict_str():
@@ -192,6 +199,28 @@ def test_cli_ab_and_homcount(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [doc["counts"][g] for g in ("S3", "A4", "S4")] == [12, 36, 96]
+
+
+def test_cli_ab_base_edge_out_of_range(capsys):
+    for edge in ("99", "0"):
+        code, out, err = run_cli(capsys, "ab", "--knot", "trefoil",
+                                 "--base-edge", edge)
+        assert code == 2
+        assert not out
+        assert err == "error: base edge %s out of range 1..6\n" % edge
+    code, _, _ = run_cli(capsys, "ab", "--knot", "trefoil", "--base-edge", "6")
+    assert code == 0
+
+
+def test_cli_rejects_negative_counts(capsys):
+    code, out, err = run_cli(capsys, "moves", "walk", "--knot", "trefoil",
+                             "--steps", "-3")
+    assert code == 2
+    assert not out and "--steps" in err
+    code, out, err = run_cli(capsys, "colorings", "--knot", "trefoil",
+                             "--list", "-2")
+    assert code == 2
+    assert not out and "--list" in err
 
 
 def test_cli_moves_walk(capsys):

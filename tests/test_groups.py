@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,17 @@ from knotforge import (
     group_by_name,
     symmetric_group,
 )
-from knotforge.groups import MAX_VALIDATED_ORDER, conjugate
+from knotforge.groups import MAX_VALIDATED_ORDER, conjugate, from_table
+
+# S3 in lexicographic one-line order, "do row, then column"
+S3_TABLE = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 4, 0, 5, 1, 3],
+    [3, 5, 1, 4, 0, 2],
+    [4, 2, 5, 0, 3, 1],
+    [5, 3, 4, 1, 2, 0],
+]
 
 
 def test_symmetric_orders():
@@ -52,9 +64,9 @@ def test_s3_involutions():
 
 
 def test_group_laws_all_builtins():
-    groups = [symmetric_group(n) for n in (2, 3, 4)]
-    groups += [alternating_group(n) for n in (3, 4)]
-    groups += [cyclic_group(n) for n in (1, 2, 7)]
+    groups = [symmetric_group(n) for n in (2, 3, 4, 5)]
+    groups += [alternating_group(n) for n in (3, 4, 5)]
+    groups += [cyclic_group(n) for n in range(1, 13)]
     for g in groups:
         n = g.order
         e = g.identity
@@ -62,11 +74,53 @@ def test_group_laws_all_builtins():
             assert g.mul(a, e) == a
             assert g.mul(e, a) == a
             assert g.mul(a, g.inverses[a]) == e
-        # associativity spot check on a few triples
-        import itertools
-        for a, b, c in itertools.islice(
-                itertools.product(range(n), repeat=3), 200):
-            assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+            assert g.mul(g.inverses[a], a) == e
+        t = g.rows
+        for a, b, c in itertools.product(range(min(n, 24)), repeat=3):
+            assert t[t[a][b]][c] == t[a][t[b][c]]
+
+
+def test_s3_table_pinned():
+    s3 = symmetric_group(3)
+    assert s3.json_dict() == {"order": 6, "table": S3_TABLE, "identity": 0}
+    assert from_table(S3_TABLE).inverses == (0, 1, 2, 4, 3, 5)
+
+
+def test_from_table_rejects_malformed():
+    for bad in ([[0, 1], [1]], [], [[0, 1, 2], [1, 2, 0]], [[]], 5):
+        with pytest.raises(ValueError, match="square|empty"):
+            from_table(bad)
+    with pytest.raises(ValueError, match="0..1"):
+        from_table([[0, 2], [1, 0]])
+    with pytest.raises(ValueError, match="0..1"):
+        from_table([[0, 1], [1, -1]])
+    with pytest.raises(ValueError, match="integer"):
+        from_table([[0, 1], [1, 1.5]])
+    with pytest.raises(ValueError, match="integer"):
+        from_table([[0.0, 1], [1, 0]])
+
+
+def test_from_table_rejects_non_groups():
+    with pytest.raises(ValueError, match="identity"):
+        from_table([[0, 0], [0, 0]])
+    # an order-5 loop: identity 0, every row and column a permutation
+    # (so unique two-sided inverses), but (1*1)*2 = 2 != 1*(1*2) = 4
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(ValueError, match="associative"):
+        from_table(loop)
+    # powers of one generator capped at the square (1*1 = 1*2 = 2*1 =
+    # 2*2 = 2): associative with identity 0, but nothing sends 1 back to 0
+    with pytest.raises(ValueError, match="inverse"):
+        from_table([[0, 1, 2], [1, 2, 2], [2, 2, 2]])
+    n = MAX_VALIDATED_ORDER + 1
+    with pytest.raises(ValueError, match="exceeds"):
+        from_table([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def test_conjugate_by_identity():

@@ -116,6 +116,12 @@ def test_walk_is_deterministic(trefoil):
     assert a[0].render_pd() == trefoil.render_pd()
 
 
+def test_walk_rejects_negative_steps(trefoil):
+    with pytest.raises(ValueError):
+        random_walk(trefoil, -3, seed=0)
+    assert len(random_walk(trefoil, 0, seed=0)) == 1
+
+
 def test_walk_seeds_diverge(trefoil):
     a = random_walk(trefoil, 12, seed=1, max_crossings=9)
     b = random_walk(trefoil, 12, seed=2, max_crossings=9)

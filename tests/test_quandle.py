@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -85,14 +86,23 @@ def test_axioms_out_of_range():
 
 def test_building_qs4_skips_numpy_ma():
     # importing numpy.ma alone takes longer than criterion 01's 1 ms
-    # budget for building QS4 in a fresh process; the first np.unique
-    # call in a process imports it
+    # budget for building QS4 in a fresh process.  The runtime needs no
+    # numpy at all: with every numpy import made to fail, the package
+    # still builds its quandles and groups and prints a report.
     src = os.path.dirname(os.path.dirname(knotforge.__file__))
-    probe = ("import sys; sys.path.insert(0, %r); import knotforge; "
-             "knotforge.tetrahedral(); print('numpy.ma' in sys.modules)" % src)
+    probe = (
+        "import sys; sys.modules['numpy'] = None; sys.path.insert(0, %r)\n"
+        "import knotforge\n"
+        "from knotforge import cli\n"
+        "knotforge.dihedral(3); knotforge.tetrahedral()\n"
+        "for k in (2, 3, 4, 5): knotforge.symmetric_group(k)\n"
+        "for k in (3, 4, 5): knotforge.alternating_group(k)\n"
+        "knotforge.cyclic_group(7)\n"
+        "sys.exit(cli.main(['invariants', '--json']))\n" % src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["knots"]
 
 
 def test_dihedral_formula():
