@@ -35,27 +35,16 @@ def _diagram(args) -> Diagram:
         raise _ResolutionError(e.args[0]) from None
 
 
-def _quandles(names: str):
+def _resolve(by_name, names: str) -> list:
+    """Comma-separated quandle or group names, each looked up by
+    by_name; blank entries are skipped."""
     out = []
     for tok in names.split(","):
         tok = tok.strip()
         if not tok:
             continue
         try:
-            out.append(quandle_by_name(tok))
-        except ValueError as e:
-            raise _ResolutionError(str(e)) from None
-    return out
-
-
-def _groups(names: str):
-    out = []
-    for tok in names.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(group_by_name(tok))
+            out.append(by_name(tok))
         except ValueError as e:
             raise _ResolutionError(str(e)) from None
     return out
@@ -115,14 +104,15 @@ def _cmd_invariants(args) -> int:
         recs = [db.builtin(n) for n in db.builtin_names()]
     for r in recs:
         r.diagram()
-    rep = db.report(recs, _quandles(args.quandles), _groups(args.groups))
+    rep = db.report(recs, _resolve(quandle_by_name, args.quandles),
+                    _resolve(group_by_name, args.groups))
     _emit(args, rep.json_dict(), rep.text())
     return 0
 
 
 def _cmd_colorings(args) -> int:
     d = _diagram(args)
-    q = _quandles(args.quandle)
+    q = _resolve(quandle_by_name, args.quandle)
     if len(q) != 1:
         raise _ResolutionError("--quandle wants exactly one name")
     q = q[0]
@@ -186,7 +176,7 @@ def _cmd_simplify(args) -> int:
 def _cmd_homcount(args) -> int:
     d = _diagram(args)
     p = _presentation(args, d)
-    groups = _groups(args.groups)
+    groups = _resolve(group_by_name, args.groups)
     stats = {g.name: {} for g in groups} if args.stats else None
     counts = [(g.name, hom_count(p, g, stats and stats[g.name]))
               for g in groups]
@@ -219,7 +209,7 @@ def _cmd_moves(args) -> int:
 
 def _cmd_distinguish(args) -> int:
     a, b = _record(args.a), _record(args.b)
-    v = db.distinguish(a, b, _quandles(args.quandles))
+    v = db.distinguish(a, b, _resolve(quandle_by_name, args.quandles))
     obj = {"a": a.name, "b": b.name, "verdict": v.verdict,
            "witness": v.witness,
            "counts": list(v.counts) if v.counts else None}

@@ -289,24 +289,12 @@ def parse_pd(text: str) -> Diagram:
                     "a single closed strand" % e)
             entered[e] = i
 
-    other = _dart_pairing(tuple(crossings))
-    seen: set[tuple[int, int]] = set()
-    faces = 0
-    for ci in range(n):
-        for s in range(4):
-            if (ci, s) in seen:
-                continue
-            faces += 1
-            cur = (ci, s)
-            while cur not in seen:
-                seen.add(cur)
-                cj, s2 = other[cur]
-                cur = (cj, (s2 + 1) % 4)
+    d = Diagram(tuple(crossings), 2 * n, False)
+    faces = len(d.regions)
     if n - 2 * n + faces != 2:
         raise NonPlanarError(
             "Euler check failed: V-E+F = %d-%d+%d != 2" % (n, 2 * n, faces))
-
-    return Diagram(tuple(crossings), 2 * n, False)
+    return d
 
 
 def canonical_pd(d: Diagram) -> str:

@@ -7,8 +7,14 @@ triangle passages) and the diagram is rebuilt and re-validated from the
 result, so every move output went through the same planarity checks as
 parsed input.
 
-Sites are discovered against a specific diagram and remember its PD
-text; applying a site to any other diagram raises StaleSiteError.
+A site's payload is a plain tuple that says where the move goes:
+R1_ADD (edge, "OU" or "UO", sign), with edge 0 on the unknot;
+R1_REMOVE (i, j), the two passage indices of the kink; R2_ADD
+(edge a, side a, edge b, side b, over, region index); R2_REMOVE the two
+crossing indices; R3 the triangle's three edges, sorted.  A site's
+summary is derived from its kind and payload.  Sites are discovered
+against a specific diagram and remember its PD text; applying a site to
+any other diagram raises StaleSiteError.
 """
 
 from __future__ import annotations
@@ -32,7 +38,25 @@ class MoveSite:
     kind: str
     payload: tuple
     signature: str  # PD text of the diagram the site belongs to
-    summary: str
+
+    @property
+    def summary(self) -> str:
+        k, p = self.kind, self.payload
+        if k == "R1_ADD":
+            sign = "+" if p[2] > 0 else "-"
+            if p[0] == 0:
+                return "add a %s kink to the unknot" % sign
+            return "add a %s kink on edge %d (%s first)" % (
+                sign, p[0], "over" if p[1] == "OU" else "under")
+        if k == "R1_REMOVE":
+            return ("remove the kink crossing entered via edges %d and %d"
+                    % (p[0] + 1, p[1] + 1))
+        if k == "R2_ADD":
+            return "push edge %d %s edge %d across region %d" % (
+                p[0], "over" if p[4] else "under", p[2], p[5])
+        if k == "R2_REMOVE":
+            return "cancel the bigon between crossings %d and %d" % p
+        return "slide the triangle bounded by edges %d, %d, %d" % p
 
     def __str__(self) -> str:
         return "%s: %s" % (self.kind, self.summary)
@@ -42,11 +66,18 @@ class MoveSite:
 
 
 def _passages(d: Diagram) -> list[Passage]:
-    out: list[Passage | None] = [None] * d.edge_count
-    for ci, x in enumerate(d.crossings):
-        out[x.under_in - 1] = (ci, "U", x.sign)
-        out[x.over_in - 1] = (ci, "O", x.sign)
-    return list(out)
+    heads = d.edge_head
+    return [(ci, role, d.crossings[ci].sign)
+            for ci, role in (heads[e] for e in range(1, d.edge_count + 1))]
+
+
+def _pure_role(d: Diagram, e: int) -> str | None:
+    """'O' or 'U' when edge e runs over (under) at both of its ends,
+    else None.  The edge's tail passage is the one its predecessor
+    runs into."""
+    heads = d.edge_head
+    role = heads[e][1]
+    return role if heads[(e - 2) % d.edge_count + 1][1] == role else None
 
 
 def _rebuild(passages: list[Passage]) -> Diagram:
@@ -80,72 +111,41 @@ def _rebuild(passages: list[Passage]) -> Diagram:
     return parse_pd(";".join(tokens))
 
 
-def _edge_roles(d: Diagram) -> dict[int, list[str]]:
-    roles: dict[int, list[str]] = {}
-    for x in d.crossings:
-        for s, e in enumerate(x.slots):
-            roles.setdefault(e, []).append("U" if s % 2 == 0 else "O")
-    return roles
-
-
 # ------------------------------------------------------- site finders
 
 
-def _r1_add_sites(d: Diagram, sig: str) -> list[MoveSite]:
-    sites = []
+def _r1_add_sites(d: Diagram) -> list[tuple]:
     if d.crossing_count == 0:
-        for sign in (1, -1):
-            sites.append(MoveSite(
-                "R1_ADD", (0, "OU", sign), sig,
-                "add a %s kink to the unknot" % ("+" if sign > 0 else "-")))
-        return sites
-    for e in range(1, d.edge_count + 1):
-        for order in ("OU", "UO"):
-            for sign in (1, -1):
-                sites.append(MoveSite(
-                    "R1_ADD", (e, order, sign), sig,
-                    "add a %s kink on edge %d (%s first)"
-                    % ("+" if sign > 0 else "-", e,
-                       "over" if order == "OU" else "under")))
-    return sites
+        return [(0, "OU", 1), (0, "OU", -1)]
+    return [(e, order, sign) for e in range(1, d.edge_count + 1)
+            for order in ("OU", "UO") for sign in (1, -1)]
 
 
-def _r1_remove_sites(d: Diagram, sig: str) -> list[MoveSite]:
+def _r1_remove_sites(d: Diagram) -> list[tuple]:
     L = _passages(d)
     n2 = len(L)
     sites = []
     for i in range(n2):
         j = (i + 1) % n2
         if j != i and L[i][0] == L[j][0]:
-            sites.append(MoveSite(
-                "R1_REMOVE", (i,), sig,
-                "remove the kink crossing entered via edges %d and %d"
-                % (i + 1, j + 1)))
+            sites.append((i, j))
     return sites
 
 
-def _r2_add_sites(d: Diagram, sig: str) -> list[MoveSite]:
+def _r2_add_sites(d: Diagram) -> list[tuple]:
     sites = []
     for region in d.regions:
         corners = region.boundary
-        for ai in range(len(corners)):
-            for bi in range(len(corners)):
-                if ai == bi:
-                    continue
-                ca, cb = corners[ai], corners[bi]
-                for over in (True, False):
-                    sites.append(MoveSite(
-                        "R2_ADD",
-                        (ca.edge, ca.side, cb.edge, cb.side, over),
-                        sig,
-                        "push edge %d %s edge %d across region %d"
-                        % (ca.edge, "over" if over else "under",
-                           cb.edge, region.index)))
+        for ai, ca in enumerate(corners):
+            for bi, cb in enumerate(corners):
+                if ai != bi:
+                    for over in (True, False):
+                        sites.append((ca.edge, ca.side, cb.edge, cb.side,
+                                      over, region.index))
     return sites
 
 
-def _r2_remove_sites(d: Diagram, sig: str) -> list[MoveSite]:
-    roles = _edge_roles(d)
+def _r2_remove_sites(d: Diagram) -> list[tuple]:
     sites = []
     for region in d.regions:
         b = region.boundary
@@ -156,19 +156,13 @@ def _r2_remove_sites(d: Diagram, sig: str) -> list[MoveSite]:
             continue
         if d.crossings[c1.crossing].sign == d.crossings[c2.crossing].sign:
             continue
-        r1, r2 = roles[c1.edge], roles[c2.edge]
-        if not ((r1 == ["O", "O"] and r2 == ["U", "U"])
-                or (r1 == ["U", "U"] and r2 == ["O", "O"])):
+        if {_pure_role(d, c1.edge), _pure_role(d, c2.edge)} != {"O", "U"}:
             continue
-        sites.append(MoveSite(
-            "R2_REMOVE", (c1.crossing, c2.crossing), sig,
-            "cancel the bigon between crossings %d and %d"
-            % (c1.crossing, c2.crossing)))
+        sites.append((c1.crossing, c2.crossing))
     return sites
 
 
-def _r3_sites(d: Diagram, sig: str) -> list[MoveSite]:
-    roles = _edge_roles(d)
+def _r3_sites(d: Diagram) -> list[tuple]:
     sites = []
     for region in d.regions:
         b = region.boundary
@@ -182,12 +176,9 @@ def _r3_sites(d: Diagram, sig: str) -> list[MoveSite]:
         # a slidable triangle has exactly one edge that runs over at
         # both of its endpoints (and then necessarily one that runs
         # under at both, plus one mixed edge)
-        if sum(1 for e in edges if roles[e] == ["O", "O"]) != 1:
+        if sum(1 for e in edges if _pure_role(d, e) == "O") != 1:
             continue
-        sites.append(MoveSite(
-            "R3", tuple(sorted(edges)), sig,
-            "slide the triangle bounded by edges %d, %d, %d"
-            % tuple(sorted(edges))))
+        sites.append(tuple(sorted(edges)))
     return sites
 
 
@@ -202,15 +193,11 @@ _FINDERS = {
 
 def find_sites(d: Diagram, kind: str | None = None) -> list[MoveSite]:
     """All move sites of one kind, or of every kind in KINDS order."""
-    sig = d.render_pd()
-    if kind is None:
-        out = []
-        for k in KINDS:
-            out.extend(_FINDERS[k](d, sig))
-        return out
-    if kind not in _FINDERS:
+    if kind is not None and kind not in _FINDERS:
         raise ValueError("unknown move kind %r" % (kind,))
-    return _FINDERS[kind](d, sig)
+    sig = d.render_pd()
+    return [MoveSite(k, p, sig) for k in (KINDS if kind is None else (kind,))
+            for p in _FINDERS[k](d)]
 
 
 # ------------------------------------------------------------- apply
@@ -230,16 +217,15 @@ def _apply_r1_add(d: Diagram, payload) -> Diagram:
 
 
 def _apply_r1_remove(d: Diagram, payload) -> Diagram:
-    (i,) = payload
+    i, j = payload
     L = _passages(d)
-    j = (i + 1) % len(L)
     for k in sorted((i, j), reverse=True):
         del L[k]
     return _rebuild(L)
 
 
 def _apply_r2_add(d: Diagram, payload) -> Diagram:
-    ea, sa, eb, sb, over = payload
+    ea, sa, eb, sb, over, _ = payload
     yid, zid = d.crossing_count, d.crossing_count + 1
     # Y is met first along the pushed edge, Z second.  The target strand
     # meets them in that same order exactly when the two corners see the
@@ -328,15 +314,14 @@ def random_walk(d: Diagram, steps: int, seed: int,
     cur = d
     for _ in range(steps):
         n = cur.crossing_count
-        sites = []
-        sig = cur.render_pd()
-        for kind in KINDS:
-            if kind == "R1_ADD" and n + 1 > max_crossings:
-                continue
-            if kind == "R2_ADD" and n + 2 > max_crossings:
-                continue
-            sites.extend(_FINDERS[kind](cur, sig))
+        sites = [(kind, p) for kind in KINDS
+                 if not (kind == "R1_ADD" and n + 1 > max_crossings
+                         or kind == "R2_ADD" and n + 2 > max_crossings)
+                 for p in _FINDERS[kind](cur)]
         if sites:
-            cur = apply(cur, sites[rng.randrange(len(sites))])
+            kind, payload = sites[rng.randrange(len(sites))]
+            # the site was found on cur, so apply's staleness check
+            # could not fire
+            cur = _APPLIERS[kind](cur, payload)
         out.append(cur)
     return out

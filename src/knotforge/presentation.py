@@ -80,12 +80,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(invert(self.letters))
-
-    def canonical(self) -> tuple[Letter, ...]:
-        return canonical_letters(self.letters)
-
     def render(self, names: Sequence[str]) -> str:
         if not self.letters:
             return "1"
@@ -235,6 +229,10 @@ def alexander_briggs(d: Diagram, base_edge: int | None = None) -> GroupPresentat
 
 # ------------------------------------------------- Tietze moves
 
+# a generator is not eliminated when substituting it would make some
+# relator longer than this
+MAX_RELATOR_LENGTH = 64
+
 
 def _normalize(rels: list[list[Letter]]) -> list[list[Letter]]:
     out: list[list[Letter]] = []
@@ -293,8 +291,7 @@ def _substitute(r: Sequence[Letter], g: int,
     return free_reduce(out)
 
 
-def _eliminate_once(gens: list[Generator], rels: list[list[Letter]],
-                    cap: int):
+def _eliminate_once(gens: list[Generator], rels: list[list[Letter]]):
     order = sorted(range(len(rels)), key=lambda i: (len(rels[i]), i))
     for ridx in order:
         r = rels[ridx]
@@ -315,7 +312,7 @@ def _eliminate_once(gens: list[Generator], rels: list[list[Letter]],
                 if i == ridx:
                     continue
                 sub = _substitute(other, g, sol)
-                if len(sub) > cap:
+                if len(sub) > MAX_RELATOR_LENGTH:
                     ok = False
                     break
                 new_rels.append(list(sub))
@@ -330,13 +327,12 @@ def _eliminate_once(gens: list[Generator], rels: list[list[Letter]],
     return None
 
 
-def tietze_simplify(p: GroupPresentation,
-                    max_relator_length: int = 64) -> GroupPresentation:
+def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     """Iteratively reduce a presentation: reduce and deduplicate
     relators, shorten relators against each other, and eliminate
     generators that occur exactly once in some relator (preferring short
     relators, and the highest-index generator within one) as long as no
-    substituted relator grows past max_relator_length."""
+    substituted relator grows past MAX_RELATOR_LENGTH letters."""
     gens = list(p.generators)
     rels = [list(w.letters) for w in p.relators]
     while True:
@@ -345,7 +341,7 @@ def tietze_simplify(p: GroupPresentation,
         if shorter is not None:
             rels = shorter
             continue
-        dropped = _eliminate_once(gens, rels, max_relator_length)
+        dropped = _eliminate_once(gens, rels)
         if dropped is not None:
             gens, rels = dropped
             continue

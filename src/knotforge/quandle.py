@@ -16,7 +16,8 @@ from operator import index
 from typing import NamedTuple
 
 from .diagram import Diagram
-from .groups import FiniteGroup, conjugate, symmetric_group
+from .groups import (MAX_VALIDATED_ORDER, FiniteGroup, conjugate,
+                     symmetric_group)
 from .solve import search
 
 
@@ -138,7 +139,12 @@ class FiniteQuandle:
 
 
 def from_table(table, name: str = "Q") -> FiniteQuandle:
+    """Check the axioms and build the quandle; orders above
+    groups.MAX_VALIDATED_ORDER are refused, since the check is cubic."""
     rows = _rows_of(table)
+    if len(rows) > MAX_VALIDATED_ORDER:
+        raise ValueError("quandle order %d exceeds the validated maximum %d"
+                         % (len(rows), MAX_VALIDATED_ORDER))
     checks = _axiom_checks(rows)
     failing = [c for c in checks if not c.ok]
     if failing:
@@ -155,8 +161,9 @@ def from_table(table, name: str = "Q") -> FiniteQuandle:
 
 def dihedral(n: int) -> FiniteQuandle:
     """R_n, the reflections of an n-gon: a <| b = 2b - a mod n."""
-    if n < 2:
-        raise ValueError("dihedral quandle needs n >= 2, got %r" % (n,))
+    if not 2 <= n <= MAX_VALIDATED_ORDER:
+        raise ValueError("dihedral quandle needs n in 2..%d, got %r"
+                         % (MAX_VALIDATED_ORDER, n))
     return from_table([[(2 * b - a) % n for b in range(n)] for a in range(n)],
                       "R%d" % n)
 

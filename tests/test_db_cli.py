@@ -164,6 +164,13 @@ def test_cli_unknown_quandle_names_offender(capsys):
     assert "K7" in err
 
 
+def test_cli_rejects_quandle_order_over_cap(capsys):
+    code, out, err = run_cli(capsys, "colorings", "--knot", "trefoil",
+                             "--quandle", "R121")
+    assert code == 2
+    assert out == "" and "121" in err
+
+
 def test_cli_unknown_knot(capsys):
     code, _, err = run_cli(capsys, "colorings", "--knot", "granny")
     assert code == 2

@@ -1,3 +1,7 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +10,8 @@ from knotforge import (
     KINDS,
     StaleSiteError,
     apply_move,
+    builtin,
+    builtin_names,
     count_colorings,
     dihedral,
     find_sites,
@@ -13,6 +19,13 @@ from knotforge import (
     random_walk,
     tetrahedral,
 )
+from knotforge.cli import main
+
+# stdout of `knotforge <key>` for site listings and walks, recorded
+# before move sites became plain payloads; the listings and walks must
+# not change
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_moves_cli.json").read_text())
 
 
 def kinds_of(sites):
@@ -149,3 +162,37 @@ def test_walks_preserve_three_colorings(seed):
     want = count_colorings(d, r3)
     walk = random_walk(d, 8, seed=seed, max_crossings=9)
     assert count_colorings(walk[-1], r3) == want
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_moves_cli_output_is_unchanged(capsys, command):
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == GOLDEN[command]
+
+
+def reference_walk(d, steps, seed, max_crossings):
+    """random_walk spelled out with the public API: list the sites of
+    every kind the cap allows, pick one with the seeded rng, apply it."""
+    rng = random.Random(seed)
+    out = [d]
+    for _ in range(steps):
+        n = d.crossing_count
+        sites = [s for s in find_sites(d)
+                 if not (s.kind == "R1_ADD" and n + 1 > max_crossings
+                         or s.kind == "R2_ADD" and n + 2 > max_crossings)]
+        if sites:
+            d = apply_move(d, sites[rng.randrange(len(sites))])
+        out.append(d)
+    return out
+
+
+def test_walk_matches_site_listing_and_apply():
+    # the criterion-08 walks: walk seeds 0..19 from each built-in, cap 12
+    for name in builtin_names():
+        d0 = builtin(name).diagram()
+        for seed in range(20):
+            steps = seed % 30 + 1
+            got = random_walk(d0, steps, seed=seed, max_crossings=12)
+            want = reference_walk(d0, steps, seed, 12)
+            assert ([d.render_pd() for d in got]
+                    == [d.render_pd() for d in want]), (name, seed)

@@ -20,6 +20,7 @@ from knotforge import (
     symmetric_group,
     tetrahedral,
 )
+from knotforge.groups import MAX_VALIDATED_ORDER
 from knotforge.quandle import NotClosedError, OutOfRangeError, from_table
 from conftest import FIG8_PD, TREFOIL_PD
 from oracles import brute_color_total
@@ -124,6 +125,15 @@ def test_dihedral_axioms_property(n):
     for a in range(n):
         for b in range(n):
             assert q.rows[q.rows[a][b]][b] == a
+
+
+def test_order_capped_before_the_cubic_check():
+    assert dihedral(MAX_VALIDATED_ORDER).order == MAX_VALIDATED_ORDER
+    n = MAX_VALIDATED_ORDER + 1
+    with pytest.raises(ValueError, match="2..%d" % MAX_VALIDATED_ORDER):
+        dihedral(n)
+    with pytest.raises(ValueError, match="exceeds"):
+        from_table([[(2 * b - a) % n for b in range(n)] for a in range(n)])
 
 
 def test_inverse_table_round_trip():
