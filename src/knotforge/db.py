@@ -11,8 +11,7 @@ back to itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagram import Diagram, parse_pd
 from .groups import FiniteGroup
@@ -24,8 +23,7 @@ class UnknownKnotError(KeyError):
     """Asked for a knot the built-in table does not have."""
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(NamedTuple):
     name: str
     pd: str
     note: str
@@ -65,8 +63,7 @@ for _rec in _TABLE:
 # ------------------------------------------------------- separation
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     verdict: str  # "DISTINCT" or "INCONCLUSIVE"
     witness: str | None = None
     counts: tuple[int, int] | None = None
@@ -109,8 +106,7 @@ def _h1_text(factors: Sequence[int]) -> str:
     return "+".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     quandle_names: tuple[str, ...]
     group_names: tuple[str, ...]
     knots: tuple[dict, ...]

@@ -19,9 +19,9 @@ under-strand.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 import re
+from typing import NamedTuple
 
 
 class DiagramError(ValueError):
@@ -50,8 +50,7 @@ _TOKEN_RE = re.compile(
     r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]\Z", re.ASCII)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing: slot 0 is the incoming under-edge, slots continue
     cyclically, and the sign is inferred from the slot order."""
 
@@ -82,8 +81,7 @@ class Crossing:
         return (2, 3) if self.sign > 0 else (2, 1)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Maximal run of edges from one undercrossing exit to the next
     undercrossing entry.  Arcs are what quandle colorings color."""
 
@@ -91,8 +89,7 @@ class Arc:
     edges: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     """One step of a region boundary: the edge traversed, which way it
     was traversed ('L' means along the knot's orientation), and the
     crossing plus quadrant the step arrives at.  Quadrant q is the
@@ -104,19 +101,22 @@ class Corner:
     quadrant: int
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A complementary face of the diagram, as its cyclic boundary."""
 
     index: int
     boundary: tuple[Corner, ...]
 
 
-@dataclass(frozen=True)
 class Diagram:
-    crossings: tuple[Crossing, ...]
-    edge_count: int
-    unknot_flag: bool = False
+    """A validated knot diagram; build one with parse_pd.  The derived
+    tables below are computed on first use and kept."""
+
+    def __init__(self, crossings: tuple[Crossing, ...], edge_count: int,
+                 unknot_flag: bool = False):
+        self.crossings = crossings
+        self.edge_count = edge_count
+        self.unknot_flag = unknot_flag
 
     @property
     def crossing_count(self) -> int:
@@ -161,24 +161,27 @@ class Diagram:
         if self.unknot_flag:
             # the circle splits the plane into two faces with no corners
             return (Region(0, ()), Region(1, ()))
-        other = _dart_pairing(self.crossings)
-        seen: set[tuple[int, int]] = set()
+        # dart 4*i + s is slot s of crossing i; other[dart] is the dart
+        # at the far end of the same edge.  A face turns from the dart
+        # it arrives at to the next slot around that crossing.
+        xs = self.crossings
+        other = _dart_pairing(xs)
+        seen = [False] * len(other)
         out: list[Region] = []
-        for ci in range(len(self.crossings)):
-            for s in range(4):
-                if (ci, s) in seen:
-                    continue
-                boundary = []
-                cur = (ci, s)
-                while cur not in seen:
-                    seen.add(cur)
-                    di, ds = cur
-                    x = self.crossings[di]
-                    side = "L" if ds in x.out_slots() else "R"
-                    cj, s2 = other[cur]
-                    boundary.append(Corner(x.slots[ds], side, cj, s2))
-                    cur = (cj, (s2 + 1) % 4)
-                out.append(Region(len(out), tuple(boundary)))
+        for start in range(len(other)):
+            if seen[start]:
+                continue
+            boundary = []
+            dart = start
+            while not seen[dart]:
+                seen[dart] = True
+                x = xs[dart >> 2]
+                s = dart & 3
+                side = "L" if s in x.out_slots() else "R"
+                far = other[dart]
+                boundary.append(Corner(x.slots[s], side, far >> 2, far & 3))
+                dart = far + 1 if far & 3 != 3 else far - 3
+            out.append(Region(len(out), tuple(boundary)))
         return tuple(out)
 
     @property
@@ -212,18 +215,18 @@ class Diagram:
         }
 
 
-def _dart_pairing(crossings: tuple[Crossing, ...]) -> dict:
-    """Pair each (crossing, slot) dart with the other occurrence of its
-    edge label."""
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, x in enumerate(crossings):
-        for s, e in enumerate(x.slots):
-            occ.setdefault(e, []).append((ci, s))
-    other = {}
-    for darts in occ.values():
-        a, b = darts
-        other[a] = b
-        other[b] = a
+def _dart_pairing(crossings: tuple[Crossing, ...]) -> list[int]:
+    """Pair each dart 4*i + s (slot s of crossing i) with the other
+    occurrence of its edge label."""
+    first = [-1] * (2 * len(crossings) + 1)
+    other = [0] * (4 * len(crossings))
+    for dart, e in enumerate(e for x in crossings for e in x.slots):
+        mate = first[e]
+        if mate < 0:
+            first[e] = dart
+        else:
+            other[dart] = mate
+            other[mate] = dart
     return other
 
 
@@ -236,7 +239,7 @@ def parse_pd(text: str) -> Diagram:
     """
     stripped = text.strip()
     if stripped == "U":
-        return Diagram((), 0, True)
+        return _from_quads([])
     if not stripped:
         raise MalformedTokenError("empty PD code")
 
@@ -247,7 +250,16 @@ def parse_pd(text: str) -> Diagram:
         if m is None:
             raise MalformedTokenError("bad crossing token: %r" % tok)
         quads.append(tuple(int(g) for g in m.groups()))
+    return _from_quads(quads)
 
+
+def _from_quads(quads: list[tuple[int, int, int, int]]) -> Diagram:
+    """The diagram of the given crossing quads, each listing its edge
+    labels from the incoming under-edge, after every check parse_pd
+    makes; an empty list is the unknot.  Raises EdgeDegreeError,
+    MultiComponentError or NonPlanarError."""
+    if not quads:
+        return Diagram((), 0, True)
     n = len(quads)
     counts = Counter(e for q in quads for e in q)
     for e in sorted(counts):

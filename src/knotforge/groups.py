@@ -8,7 +8,6 @@ quandle table used elsewhere in the package, so don't flip it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from operator import index
 
@@ -16,14 +15,16 @@ from operator import index
 MAX_VALIDATED_ORDER = 120
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    order: int
-    rows: list[list[int]]
-    identity: int
-    inverses: tuple[int, ...]
-    name: str = "G"
-    element_names: tuple[str, ...] | None = None
+    def __init__(self, order: int, rows: list[list[int]], identity: int,
+                 inverses: tuple[int, ...], name: str = "G",
+                 element_names: tuple[str, ...] | None = None):
+        self.order = order
+        self.rows = rows
+        self.identity = identity
+        self.inverses = inverses
+        self.name = name
+        self.element_names = element_names
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]

@@ -3,9 +3,10 @@
 A diagram is flattened to its passage list: entry i describes the
 crossing entered via edge i+1, as (crossing id, "U" or "O", sign).
 Moves edit that list (insert a kink, delete a bigon, swap the order of
-triangle passages) and the diagram is rebuilt and re-validated from the
-result, so every move output went through the same planarity checks as
-parsed input.
+triangle passages) and the diagram is rebuilt from the result as
+integer crossing quads, which go through the same validator parse_pd
+ends with (edge degrees, slot order, one component, Euler count), so
+every move output passed the same checks as parsed input.
 
 A site's payload is a plain tuple that says where the move goes:
 R1_ADD (edge, "OU" or "UO", sign), with edge 0 on the unknot;
@@ -20,9 +21,9 @@ any other diagram raises StaleSiteError.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .diagram import Diagram, NonPlanarError, parse_pd
+from .diagram import Diagram, _from_quads
 
 KINDS = ("R1_ADD", "R1_REMOVE", "R2_ADD", "R2_REMOVE", "R3")
 
@@ -33,8 +34,7 @@ class StaleSiteError(ValueError):
     """The site was found on a different diagram than the one given."""
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     kind: str
     payload: tuple
     signature: str  # PD text of the diagram the site belongs to
@@ -81,21 +81,16 @@ def _pure_role(d: Diagram, e: int) -> str | None:
 
 
 def _rebuild(passages: list[Passage]) -> Diagram:
-    if not passages:
-        return parse_pd("U")
     n2 = len(passages)
+    # crossing id -> role -> passage index, in order of first passage
     where: dict[object, dict[str, int]] = {}
-    order: list[object] = []
     for i, (cid, role, _) in enumerate(passages):
-        if cid not in where:
-            where[cid] = {}
-            order.append(cid)
-        if role in where[cid]:
+        slots = where.setdefault(cid, {})
+        if role in slots:
             raise ValueError("crossing appears twice with role %s" % role)
-        where[cid][role] = i
-    tokens = []
-    for cid in order:
-        slots = where[cid]
+        slots[role] = i
+    quads = []
+    for slots in where.values():
         if set(slots) != {"U", "O"}:
             raise ValueError("crossing is missing a passage")
         iu, io = slots["U"], slots["O"]
@@ -104,11 +99,8 @@ def _rebuild(passages: list[Passage]) -> Diagram:
         c = a % n2 + 1
         oin = io + 1
         oout = oin % n2 + 1
-        if sign > 0:
-            tokens.append("X[%d,%d,%d,%d]" % (a, oin, c, oout))
-        else:
-            tokens.append("X[%d,%d,%d,%d]" % (a, oout, c, oin))
-    return parse_pd(";".join(tokens))
+        quads.append((a, oin, c, oout) if sign > 0 else (a, oout, c, oin))
+    return _from_quads(quads)
 
 
 # ------------------------------------------------------- site finders
@@ -152,7 +144,7 @@ def _r2_remove_sites(d: Diagram) -> list[tuple]:
         if len(b) != 2:
             continue
         c1, c2 = b
-        if c1.crossing == c2.crossing or c1.edge == c2.edge:
+        if c1.crossing == c2.crossing:
             continue
         if d.crossings[c1.crossing].sign == d.crossings[c2.crossing].sign:
             continue
@@ -171,8 +163,6 @@ def _r3_sites(d: Diagram) -> list[tuple]:
         if len({c.crossing for c in b}) != 3:
             continue
         edges = [c.edge for c in b]
-        if len(set(edges)) != 3:
-            continue
         # a slidable triangle has exactly one edge that runs over at
         # both of its endpoints (and then necessarily one that runs
         # under at both, plus one mixed edge)
@@ -240,25 +230,13 @@ def _apply_r2_add(d: Diagram, payload) -> Diagram:
         tpair = [(yid, rt, s1), (zid, rt, -s1)]
     else:
         tpair = [(zid, rt, -s1), (yid, rt, s1)]
-
-    if ea != eb:
-        L = _passages(d)
-        for pos, pair in sorted([(ea - 1, fpair), (eb - 1, tpair)],
-                                reverse=True):
-            L[pos:pos] = pair
-        return _rebuild(L)
-
-    # both corners sit on the same edge; the combinatorics do not say
-    # which pair comes first along it, so try finger-first and fall
-    # back on the other order if that is not planar
-    for first, second in ((fpair, tpair), (tpair, fpair)):
-        L = _passages(d)
-        L[ea - 1:ea - 1] = first + second
-        try:
-            return _rebuild(L)
-        except NonPlanarError:
-            continue
-    raise NonPlanarError("no planar filling for this push")
+    # ea != eb: a knot diagram has no bridge, so no region lists one
+    # edge at two corners
+    L = _passages(d)
+    for pos, pair in sorted([(ea - 1, fpair), (eb - 1, tpair)],
+                            reverse=True):
+        L[pos:pos] = pair
+    return _rebuild(L)
 
 
 def _apply_r2_remove(d: Diagram, payload) -> Diagram:

@@ -16,8 +16,7 @@ tietze_simplify is asked to clean it up.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .diagram import Diagram
 from .groups import FiniteGroup
@@ -71,9 +70,9 @@ def canonical_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     return best
 
 
-@dataclass(frozen=True)
-class Word:
-    """A group word, exponents +-1 per letter."""
+class Word(NamedTuple):
+    """A group word, exponents +-1 per letter; len() counts the
+    letters, not the tuple's one field."""
 
     letters: tuple[Letter, ...]
 
@@ -89,21 +88,19 @@ class Word:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     role: str  # "arc", "meridian", "longitude" or "pillar"
     index: int | None = None
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
-    generators: tuple[Generator, ...]
-    relators: tuple[Word, ...]
-
-    def __post_init__(self):
-        n = len(self.generators)
-        for w in self.relators:
+    def __init__(self, generators: tuple[Generator, ...],
+                 relators: tuple[Word, ...]):
+        self.generators = generators
+        self.relators = relators
+        n = len(generators)
+        for w in relators:
             for g, e in w.letters:
                 if not 0 <= g < n:
                     raise ValueError("relator names generator %d of %d" % (g, n))

@@ -10,7 +10,6 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from operator import index
 from typing import NamedTuple
@@ -29,15 +28,13 @@ class NotClosedError(ValueError):
     """Conjugation leads outside the chosen subset."""
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: str
     ok: bool
     witness: tuple | None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     passed: bool
     checks: tuple[AxiomCheck, ...]
 
@@ -50,7 +47,8 @@ class AxiomReport:
 
 def _rows_of(table) -> list[list[int]]:
     """The table as nested lists of ints, after checking that it is a
-    nonempty square grid of element indices 0..n-1."""
+    nonempty square grid of element indices 0..n-1 whose order is at
+    most groups.MAX_VALIDATED_ORDER, since the axiom check is cubic."""
     try:
         rows = [list(row) for row in table]
     except TypeError:
@@ -58,6 +56,9 @@ def _rows_of(table) -> list[list[int]]:
     n = len(rows)
     if n == 0:
         raise OutOfRangeError("table must be nonempty")
+    if n > MAX_VALIDATED_ORDER:
+        raise ValueError("quandle order %d exceeds the validated maximum %d"
+                         % (n, MAX_VALIDATED_ORDER))
     for a, row in enumerate(rows):
         if len(row) != n:
             raise OutOfRangeError(
@@ -116,20 +117,22 @@ def _axiom_checks(t: list[list[int]]) -> tuple[AxiomCheck, ...]:
 def check_axioms(table) -> AxiomReport:
     """Verify quandle axioms I..III over all triples, reporting the
     first counterexample of each failing axiom.  Raises OutOfRangeError
-    unless table is a nonempty square grid of indices 0..n-1."""
+    unless table is a nonempty square grid of indices 0..n-1, and
+    ValueError for orders above groups.MAX_VALIDATED_ORDER."""
     checks = _axiom_checks(_rows_of(table))
     return AxiomReport(all(c.ok for c in checks), checks)
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteQuandle:
     """``rows[a][b]`` is a <| b; ``inv_rows`` undoes it column by
     column, ``inv_rows[a <| b][b] == a``."""
 
-    order: int
-    rows: list[list[int]]
-    inv_rows: list[list[int]]
-    name: str = "Q"
+    def __init__(self, order: int, rows: list[list[int]],
+                 inv_rows: list[list[int]], name: str = "Q"):
+        self.order = order
+        self.rows = rows
+        self.inv_rows = inv_rows
+        self.name = name
 
     def json_dict(self) -> dict:
         return {
@@ -142,9 +145,6 @@ def from_table(table, name: str = "Q") -> FiniteQuandle:
     """Check the axioms and build the quandle; orders above
     groups.MAX_VALIDATED_ORDER are refused, since the check is cubic."""
     rows = _rows_of(table)
-    if len(rows) > MAX_VALIDATED_ORDER:
-        raise ValueError("quandle order %d exceeds the validated maximum %d"
-                         % (len(rows), MAX_VALIDATED_ORDER))
     checks = _axiom_checks(rows)
     failing = [c for c in checks if not c.ok]
     if failing:
@@ -219,8 +219,7 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Arc index -> quandle element, as a tuple indexed by arc."""
 
     assignment: tuple[int, ...]

@@ -2,6 +2,7 @@ import pytest
 
 from knotforge import (
     Diagram,
+    DiagramError,
     EdgeDegreeError,
     MalformedTokenError,
     MultiComponentError,
@@ -9,6 +10,7 @@ from knotforge import (
     canonical_pd,
     parse_pd,
 )
+from knotforge.diagram import _from_quads
 from conftest import FIG8_PD, TREFOIL_PD
 
 
@@ -136,6 +138,25 @@ def test_non_planar_error():
     # sequence with no planar realization
     with pytest.raises(NonPlanarError):
         parse_pd("X[1,3,2,4];X[2,4,3,1]")
+
+
+@pytest.mark.parametrize("pd", [
+    # the inputs of the three tests above
+    "X[1,2,3,4];X[1,2,3,4]", "X[1,2,3,4]",
+    "X[1,4,2,5];X[3,6,4,1];X[5,2,6,1]",
+    "X[1,2,2,1];X[3,4,4,3]",
+    "X[1,3,2,4];X[2,4,3,1]",
+])
+def test_quads_rejected_like_their_text(pd):
+    # moves rebuild diagrams from integer quads, not PD text, and must
+    # meet the same validation as parsed input
+    quads = [tuple(map(int, tok[2:-1].split(","))) for tok in pd.split(";")]
+    with pytest.raises(DiagramError) as from_text:
+        parse_pd(pd)
+    with pytest.raises(DiagramError) as from_quads:
+        _from_quads(quads)
+    assert type(from_quads.value) is type(from_text.value)
+    assert str(from_quads.value) == str(from_text.value)
 
 
 def test_crossing_slot_roles(trefoil):

@@ -20,6 +20,7 @@ from knotforge import (
     tetrahedral,
 )
 from knotforge.cli import main
+from oracles import braid_closure_pd, random_braid_knot
 
 # stdout of `knotforge <key>` for site listings and walks, recorded
 # before move sites became plain payloads; the listings and walks must
@@ -196,3 +197,60 @@ def test_walk_matches_site_listing_and_apply():
             want = reference_walk(d0, steps, seed, 12)
             assert ([d.render_pd() for d in got]
                     == [d.render_pd() for d in want]), (name, seed)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_no_region_meets_an_edge_twice(seed):
+    # a connected 4-regular plane graph has no bridge, so the two sides
+    # of an edge lie in different faces; R2 pushes, bigons and
+    # triangles rely on every corner of a region having its own edge
+    rng = random.Random(seed)
+    d0 = builtin(rng.choice(builtin_names())).diagram()
+    diagrams = random_walk(d0, rng.randint(1, 30), seed=seed,
+                           max_crossings=12)
+    diagrams.append(parse_pd(random_braid_knot(
+        rng, rng.randint(2, 4), rng.randint(8, 60))))
+    for d in diagrams:
+        for r in d.regions:
+            edges = [c.edge for c in r.boundary]
+            assert len(set(edges)) == len(edges), d.render_pd()
+
+
+def assert_parses_back(d):
+    """The diagram a move rebuilt from integer quads has the tables
+    parse_pd gives its PD text."""
+    again = parse_pd(d.render_pd())
+    assert again.crossings == d.crossings
+    assert again.arcs == d.arcs
+    assert again.regions == d.regions
+
+
+def test_walk_diagrams_parse_back():
+    # every 7th diagram the criterion-08 walks visit
+    visited = []
+    for name in builtin_names():
+        d0 = builtin(name).diagram()
+        for seed in range(100):
+            visited += random_walk(d0, seed % 30 + 1, seed=seed,
+                                   max_crossings=12)[1:]
+    for d in visited[::7]:
+        assert_parses_back(d)
+
+
+def test_large_move_results_parse_back():
+    # one applied site of each kind on T(2,201); the kink offers an R1
+    # removal, and pushing edge 202 over edge 200 across the outer
+    # face leaves a bigon and a slidable triangle
+    d0 = parse_pd(braid_closure_pd([1] * 201, 2))
+    kink = apply_move(d0, find_sites(d0, "R1_ADD")[0])
+    push = next(s for s in find_sites(d0, "R2_ADD")
+                if s.payload[0] == 202 and s.payload[2] == 200
+                and s.payload[4])
+    pushed = apply_move(d0, push)
+    results = [kink, pushed,
+               apply_move(kink, find_sites(kink, "R1_REMOVE")[0]),
+               apply_move(pushed, find_sites(pushed, "R2_REMOVE")[0]),
+               apply_move(pushed, find_sites(pushed, "R3")[0])]
+    for d in results:
+        assert_parses_back(d)

@@ -89,7 +89,8 @@ def test_building_qs4_skips_numpy_ma():
     # importing numpy.ma alone takes longer than criterion 01's 1 ms
     # budget for building QS4 in a fresh process.  The runtime needs no
     # numpy at all: with every numpy import made to fail, the package
-    # still builds its quandles and groups and prints a report.
+    # still builds its quandles and groups and prints a report.  Nor
+    # does it load dataclasses or inspect, which cost start-up time.
     src = os.path.dirname(os.path.dirname(knotforge.__file__))
     probe = (
         "import sys; sys.modules['numpy'] = None; sys.path.insert(0, %r)\n"
@@ -99,11 +100,15 @@ def test_building_qs4_skips_numpy_ma():
         "for k in (2, 3, 4, 5): knotforge.symmetric_group(k)\n"
         "for k in (3, 4, 5): knotforge.alternating_group(k)\n"
         "knotforge.cyclic_group(7)\n"
-        "sys.exit(cli.main(['invariants', '--json']))\n" % src)
+        "rc = cli.main(['invariants', '--json'])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)),"
+        " file=sys.stderr)\n"
+        "sys.exit(rc)\n" % src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["knots"]
+    assert out.stderr.splitlines()[-1:] == ["[]"]
 
 
 def test_dihedral_formula():
@@ -134,6 +139,8 @@ def test_order_capped_before_the_cubic_check():
         dihedral(n)
     with pytest.raises(ValueError, match="exceeds"):
         from_table([[(2 * b - a) % n for b in range(n)] for a in range(n)])
+    with pytest.raises(ValueError, match="exceeds"):
+        check_axioms([[(2 * b - a) % n for b in range(n)] for a in range(n)])
 
 
 def test_inverse_table_round_trip():
