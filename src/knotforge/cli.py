@@ -229,8 +229,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed where a verb uses one")
 
     def diagram_verb(name, fn, helptext, required=True, extra=None):
         p = sub.add_parser(name, parents=[common], help=helptext)
@@ -290,6 +288,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=KINDS, default=None,
                        help="restrict 'sites' to one move kind")
         p.add_argument("--steps", type=int, default=10)
+        p.add_argument("--seed", type=int, default=0,
+                       help="random seed for 'walk'")
         p.add_argument("--cap", type=int, default=None,
                        help="crossing-count cap for walks (default: current+6)")
     diagram_verb("moves", _cmd_moves,

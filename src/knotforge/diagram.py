@@ -249,7 +249,13 @@ def parse_pd(text: str) -> Diagram:
         m = _TOKEN_RE.match(tok)
         if m is None:
             raise MalformedTokenError("bad crossing token: %r" % tok)
-        quads.append(tuple(int(g) for g in m.groups()))
+        try:
+            quads.append(tuple(int(g) for g in m.groups()))
+        except ValueError:
+            # past int()'s digit limit, and so past any edge count
+            raise MalformedTokenError(
+                "edge label too long: %d digits"
+                % max(len(g) for g in m.groups())) from None
     return _from_quads(quads)
 
 

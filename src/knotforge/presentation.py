@@ -10,7 +10,13 @@ complement, with the base edge picking where the longitude hangs.
 Words are flat sequences of (generator index, +-1) letters.  Relators
 are stored freely and cyclically reduced but otherwise untouched, so a
 presentation keeps one relator per crossing / region until
-tietze_simplify is asked to clean it up.
+tietze_simplify is asked to clean it up.  That repeats, until none
+applies: reduce the relators and drop empty and duplicate ones; replace
+a chunk of one relator longer than half of another relator by the
+complementary chunk, longest chunks first; otherwise eliminate a
+generator that occurs once in some relator, shortest relator first,
+unless a substituted relator would pass MAX_RELATOR_LENGTH letters.
+The result is deterministic but not minimal.
 """
 
 from __future__ import annotations
@@ -54,20 +60,27 @@ def invert(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     return tuple((g, -e) for g, e in reversed(letters))
 
 
+def _cyclic_words(w: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
+    """Every rotation of w, then every rotation of its inverse."""
+    out = []
+    for x in (w, invert(w)):
+        out += [x[i:] + x[:i] for i in range(len(x))]
+    return out
+
+
+def _solve_for(r: tuple[Letter, ...], i: int) -> tuple[Letter, ...]:
+    """The word that letter i's generator equals by relator r, when
+    that generator occurs in r only once: g^e * rest == 1."""
+    rest = r[i + 1:] + r[:i]
+    return rest if r[i][1] < 0 else invert(rest)
+
+
 def canonical_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     """Least rotation of the lexicographically smaller of a cyclic word
     and its inverse.  Two relators name the same unoriented cyclic word
     exactly when their canonical forms agree."""
     w = cyclic_reduce(free_reduce(letters))
-    if not w:
-        return ()
-    best = None
-    for cand in (w, invert(w)):
-        for i in range(len(cand)):
-            rot = cand[i:] + cand[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return min(_cyclic_words(w)) if w else ()
 
 
 class Word(NamedTuple):
@@ -231,8 +244,8 @@ def alexander_briggs(d: Diagram, base_edge: int | None = None) -> GroupPresentat
 MAX_RELATOR_LENGTH = 64
 
 
-def _normalize(rels: list[list[Letter]]) -> list[list[Letter]]:
-    out: list[list[Letter]] = []
+def _normalize(rels: list[tuple[Letter, ...]]) -> list[tuple[Letter, ...]]:
+    out = []
     seen: set[tuple[Letter, ...]] = set()
     for r in rels:
         w = cyclic_reduce(free_reduce(r))
@@ -242,38 +255,32 @@ def _normalize(rels: list[list[Letter]]) -> list[list[Letter]]:
         if key in seen:
             continue
         seen.add(key)
-        out.append(list(w))
+        out.append(w)
     return out
 
 
-def _rotations(w: Sequence[Letter]):
-    for i in range(len(w)):
-        yield tuple(w[i:]) + tuple(w[:i])
-
-
-def _shorten_once(rels: list[list[Letter]]) -> list[list[Letter]] | None:
+def _shorten_once(rels: list[tuple[Letter, ...]]) -> bool:
     """Replace a chunk of one relator, more than half of another relator
-    long, by the complementary shorter chunk.  Returns the new relator
-    list on success."""
+    long, by the complementary shorter chunk, longest chunks first.
+    Edits rels in place; returns whether it did."""
+    cyclic = [_cyclic_words(r) for r in rels]
     for ri, r in enumerate(rels):
+        rotations = cyclic[ri][:len(r)]
         for si, s in enumerate(rels):
             if si == ri or len(s) < 2:
                 continue
-            others = list(_rotations(s)) + list(_rotations(invert(s)))
-            hi = min(len(r), len(s))
-            for k in range(hi, len(s) // 2, -1):
-                for rr in _rotations(r):
-                    u = rr[:k]
-                    for ss in others:
-                        if ss[:k] != u:
-                            continue
-                        cand = cyclic_reduce(free_reduce(
-                            invert(ss[k:]) + rr[k:]))
-                        if len(cand) < len(r):
-                            out = [list(x) for x in rels]
-                            out[ri] = list(cand)
-                            return out
-    return None
+            for k in range(min(len(r), len(s)), len(s) // 2, -1):
+                tails: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
+                for w in cyclic[si]:
+                    tails.setdefault(w[:k], w[k:])
+                for rr in rotations:
+                    tail = tails.get(rr[:k])
+                    if tail is not None:
+                        # k > |s|/2, so this is at most |r|+|s|-2k < |r| long
+                        rels[ri] = cyclic_reduce(free_reduce(
+                            invert(tail) + rr[k:]))
+                        return True
+    return False
 
 
 def _substitute(r: Sequence[Letter], g: int,
@@ -288,40 +295,33 @@ def _substitute(r: Sequence[Letter], g: int,
     return free_reduce(out)
 
 
-def _eliminate_once(gens: list[Generator], rels: list[list[Letter]]):
-    order = sorted(range(len(rels)), key=lambda i: (len(rels[i]), i))
-    for ridx in order:
+def _eliminate_once(gens: list[Generator],
+                    rels: list[tuple[Letter, ...]]) -> bool:
+    """Drop a generator that occurs once in some relator, and that
+    relator, substituting the generator's solution everywhere else.
+    Edits gens and rels in place; returns whether it did."""
+    for ridx in sorted(range(len(rels)), key=lambda i: (len(rels[i]), i)):
         r = rels[ridx]
-        counts: dict[int, int] = {}
-        for gi, _ in r:
-            counts[gi] = counts.get(gi, 0) + 1
-        singles = sorted((gi for gi, c in counts.items() if c == 1),
-                         reverse=True)
-        for g in singles:
-            pos = next(i for i, (gi, _) in enumerate(r) if gi == g)
-            rot = tuple(r[pos:]) + tuple(r[:pos])
-            rest = rot[1:]
-            sol = invert(rest) if rot[0][1] > 0 else rest
-
+        counts = Counter(gi for gi, _ in r)
+        singles = sorted(((gi, i) for i, (gi, _) in enumerate(r)
+                          if counts[gi] == 1), reverse=True)
+        for g, i in singles:
+            sol = _solve_for(r, i)
             new_rels = []
-            ok = True
-            for i, other in enumerate(rels):
-                if i == ridx:
+            for j, other in enumerate(rels):
+                if j == ridx:
                     continue
                 sub = _substitute(other, g, sol)
                 if len(sub) > MAX_RELATOR_LENGTH:
-                    ok = False
                     break
-                new_rels.append(list(sub))
-            if not ok:
-                continue
-
-            # drop the defining relator and the generator, reindex
-            del gens[g]
-            remap = lambda gi: gi if gi < g else gi - 1
-            final = [[(remap(gi), e) for gi, e in rr] for rr in new_rels]
-            return gens, final
-    return None
+                new_rels.append(sub)
+            else:
+                # drop the defining relator and the generator, reindex
+                del gens[g]
+                rels[:] = [tuple((gi - 1 if gi > g else gi, e) for gi, e in w)
+                           for w in new_rels]
+                return True
+    return False
 
 
 def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
@@ -329,21 +329,14 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     relators, shorten relators against each other, and eliminate
     generators that occur exactly once in some relator (preferring short
     relators, and the highest-index generator within one) as long as no
-    substituted relator grows past MAX_RELATOR_LENGTH letters."""
+    substituted relator grows past MAX_RELATOR_LENGTH letters.  The
+    result is deterministic but not minimal."""
     gens = list(p.generators)
-    rels = [list(w.letters) for w in p.relators]
+    rels = [w.letters for w in p.relators]
     while True:
         rels = _normalize(rels)
-        shorter = _shorten_once(rels)
-        if shorter is not None:
-            rels = shorter
-            continue
-        dropped = _eliminate_once(gens, rels)
-        if dropped is not None:
-            gens, rels = dropped
-            continue
-        break
-    return make_presentation(gens, rels)
+        if not (_shorten_once(rels) or _eliminate_once(gens, rels)):
+            return make_presentation(gens, rels)
 
 
 # ------------------------------------------------- invariants
@@ -383,12 +376,8 @@ def hom_count(p: GroupPresentation, g: FiniteGroup,
     cons = []
     for r in (w.letters for w in p.relators):
         seen = Counter(gi for gi, _ in r)
-        solvers = {}
-        for i, (gi, e) in enumerate(r):
-            if seen[gi] == 1:
-                # gi^e * rest == 1
-                rest = r[i + 1:] + r[:i]
-                solvers[gi] = (one, fold(rest if e < 0 else invert(rest)))
+        solvers = {gi: (one, fold(_solve_for(r, i)))
+                   for i, (gi, _) in enumerate(r) if seen[gi] == 1}
         cons.append((one, fold(r), one, solvers))
     return search(n + 1, g.order, cons, known={one: g.identity},
                   stats=stats)

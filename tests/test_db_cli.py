@@ -140,6 +140,25 @@ def test_cli_validate_rejects_garbage(capsys):
     assert err.strip()
 
 
+def test_cli_overlong_edge_label_ends_cleanly(capsys):
+    pd = "X[%s,1,2,3]" % ("9" * 5000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotforge", "validate", "--pd", pd],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    code, out, err = run_cli(capsys, "distinguish", "trefoil", pd)
+    assert code == 1 and not out and err.startswith("error: ")
+
+
+def test_cli_seed_belongs_to_moves(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--knot", "trefoil", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_cli_colorings(capsys):
     code, out, _ = run_cli(capsys, "colorings", "--knot", "trefoil")
     assert code == 0

@@ -116,6 +116,12 @@ def test_non_ascii_digits_rejected():
         parse_pd("X[\u0661,4,2,5];X[3,6,4,1];X[5,2,6,3]")
 
 
+def test_overlong_edge_label_is_malformed():
+    # 5,000 digits is past int()'s default string limit on 3.11
+    with pytest.raises(DiagramError, match="edge label too long"):
+        parse_pd("X[%s,1,2,3]" % ("9" * 5000))
+
+
 def test_edge_degree_errors():
     # labels each appear twice here, but the under-strand through the
     # first crossing would need succ(1) = 3
