@@ -43,4 +43,4 @@ for name, d in (("unknot", unknot), ("figure8", figure8)):
 # element per arc, arcs numbered by their first edge.
 print("\na few explicit trefoil three-colorings:")
 for coloring in list_colorings(trefoil, r3, limit=5):
-    print("  arcs ->", coloring.assignment)
+    print("  arcs ->", coloring)

@@ -2,7 +2,6 @@
 moves, and knot group presentations."""
 
 from .diagram import (
-    Arc,
     Corner,
     Crossing,
     Diagram,
@@ -11,7 +10,6 @@ from .diagram import (
     MalformedTokenError,
     MultiComponentError,
     NonPlanarError,
-    Region,
     canonical_pd,
     parse_pd,
 )
@@ -25,7 +23,6 @@ from .groups import (
 )
 from .quandle import (
     AxiomReport,
-    Coloring,
     ColoringCount,
     FiniteQuandle,
     check_axioms,
@@ -49,7 +46,6 @@ from .presentation import (
     Generator,
     GroupPresentation,
     NoCrossingsError,
-    Word,
     abelianize,
     alexander_briggs,
     hom_count,
@@ -70,17 +66,17 @@ from .db import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "Corner", "Crossing", "Diagram", "DiagramError",
+    "Corner", "Crossing", "Diagram", "DiagramError",
     "EdgeDegreeError", "MalformedTokenError", "MultiComponentError",
-    "NonPlanarError", "Region", "canonical_pd", "parse_pd",
+    "NonPlanarError", "canonical_pd", "parse_pd",
     "FiniteGroup", "alternating_group", "conjugate", "cyclic_group",
     "group_by_name", "symmetric_group",
-    "AxiomReport", "Coloring", "ColoringCount", "FiniteQuandle",
+    "AxiomReport", "ColoringCount", "FiniteQuandle",
     "check_axioms", "conjugation_quandle", "count_colorings", "dihedral",
     "is_isomorphic", "list_colorings", "quandle_by_name", "tetrahedral",
     "KINDS", "MoveSite", "StaleSiteError", "find_sites", "random_walk",
     "apply_move",
-    "Generator", "GroupPresentation", "NoCrossingsError", "Word",
+    "Generator", "GroupPresentation", "NoCrossingsError",
     "abelianize", "alexander_briggs", "hom_count", "tietze_simplify",
     "wirtinger",
     "InvariantReport", "KnotRecord", "UnknownKnotError", "Verdict",

@@ -127,8 +127,8 @@ def _cmd_colorings(args) -> int:
     if args.list is not None:
         limit = args.list if args.list > 0 else None
         cols = list_colorings(d, q, limit=limit)
-        obj["colorings"] = [c.json_list() for c in cols]
-        lines += [" ".join(map(str, c.assignment)) for c in cols]
+        obj["colorings"] = [list(c) for c in cols]
+        lines += [" ".join(map(str, c)) for c in cols]
     _emit(args, obj, "\n".join(lines), stats)
     return 0
 

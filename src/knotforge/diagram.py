@@ -14,6 +14,10 @@ the successor of slot 1 (the over-strand enters at slot 1).  With one
 crossing both orientations are label-consistent and the tie is broken
 by whether the over-strand enters on the edge that leaves the
 under-strand.
+
+Derived data are plain tuples, item i at position i: arc i is the
+tuple of its edge labels, and region i is the tuple of Corners along
+its boundary walk.
 """
 
 from __future__ import annotations
@@ -81,14 +85,6 @@ class Crossing(NamedTuple):
         return (2, 3) if self.sign > 0 else (2, 1)
 
 
-class Arc(NamedTuple):
-    """Maximal run of edges from one undercrossing exit to the next
-    undercrossing entry.  Arcs are what quandle colorings color."""
-
-    index: int
-    edges: tuple[int, ...]
-
-
 class Corner(NamedTuple):
     """One step of a region boundary: the edge traversed, which way it
     was traversed ('L' means along the knot's orientation), and the
@@ -99,13 +95,6 @@ class Corner(NamedTuple):
     side: str
     crossing: int
     quadrant: int
-
-
-class Region(NamedTuple):
-    """A complementary face of the diagram, as its cyclic boundary."""
-
-    index: int
-    boundary: tuple[Corner, ...]
 
 
 class Diagram:
@@ -137,37 +126,41 @@ class Diagram:
         return heads
 
     @cached_property
-    def arcs(self) -> tuple[Arc, ...]:
+    def arcs(self) -> tuple[tuple[int, ...], ...]:
+        """Arc i as its edge labels: a maximal run of edges from one
+        undercrossing exit to the next undercrossing entry.  Arcs are
+        what quandle colorings color."""
         if self.unknot_flag:
             # one arc covering the whole circle; there are no numbered edges
-            return (Arc(0, ()),)
-        starts = sorted(x.under_out for x in self.crossings)
+            return ((),)
         arcs = []
-        for idx, start in enumerate(starts):
+        for start in sorted(x.under_out for x in self.crossings):
             edges = [start]
             e = start
             while self.edge_head[e][1] == "O":
                 e = self.succ(e)
                 edges.append(e)
-            arcs.append(Arc(idx, tuple(edges)))
+            arcs.append(tuple(edges))
         return tuple(arcs)
 
     @cached_property
     def arc_of_edge(self) -> dict[int, int]:
-        return {e: a.index for a in self.arcs for e in a.edges}
+        return {e: i for i, a in enumerate(self.arcs) for e in a}
 
     @cached_property
-    def regions(self) -> tuple[Region, ...]:
+    def regions(self) -> tuple[tuple[Corner, ...], ...]:
+        """Region i, a complementary face of the diagram, as its cyclic
+        boundary."""
         if self.unknot_flag:
             # the circle splits the plane into two faces with no corners
-            return (Region(0, ()), Region(1, ()))
+            return ((), ())
         # dart 4*i + s is slot s of crossing i; other[dart] is the dart
         # at the far end of the same edge.  A face turns from the dart
         # it arrives at to the next slot around that crossing.
         xs = self.crossings
         other = _dart_pairing(xs)
         seen = [False] * len(other)
-        out: list[Region] = []
+        out: list[tuple[Corner, ...]] = []
         for start in range(len(other)):
             if seen[start]:
                 continue
@@ -181,7 +174,7 @@ class Diagram:
                 far = other[dart]
                 boundary.append(Corner(x.slots[s], side, far >> 2, far & 3))
                 dart = far + 1 if far & 3 != 3 else far - 3
-            out.append(Region(len(out), tuple(boundary)))
+            out.append(tuple(boundary))
         return tuple(out)
 
     @property

@@ -10,9 +10,45 @@ from __future__ import annotations
 
 from itertools import permutations
 from operator import index
+import re
 
-# validating the group laws is cubic in the order, so cap it
+# checking group laws or quandle axioms is cubic in the order, so cap it
 MAX_VALIDATED_ORDER = 120
+
+
+class OutOfRangeError(ValueError):
+    """A table is not a square grid of element indices."""
+
+
+def square_rows(table) -> list[list[int]]:
+    """The table as nested lists of ints, after checking that it is a
+    nonempty square grid of element indices 0..n-1 whose order is at
+    most MAX_VALIDATED_ORDER.  Group and quandle tables share it."""
+    try:
+        rows = [list(row) for row in table]
+    except TypeError:
+        raise OutOfRangeError("table must be square") from None
+    n = len(rows)
+    if n == 0:
+        raise OutOfRangeError("table must be nonempty")
+    if n > MAX_VALIDATED_ORDER:
+        raise ValueError("table order %d exceeds the validated maximum %d"
+                         % (n, MAX_VALIDATED_ORDER))
+    for a, row in enumerate(rows):
+        if len(row) != n:
+            raise OutOfRangeError(
+                "table must be square: row %d has %d entries, not %d"
+                % (a, len(row), n))
+        for b, v in enumerate(row):
+            try:
+                v = row[b] = index(v)
+            except TypeError:
+                raise OutOfRangeError(
+                    "entry table[%d][%d] is not an integer" % (a, b)) from None
+            if not 0 <= v < n:
+                raise OutOfRangeError(
+                    "entry table[%d][%d] is outside 0..%d" % (a, b, n - 1))
+    return rows
 
 
 class FiniteGroup:
@@ -42,29 +78,12 @@ class FiniteGroup:
 
 def from_table(table, name: str = "G", element_names=None) -> FiniteGroup:
     """Build a group from a Cayley table, verifying the group laws
-    exhaustively (identity, associativity over all triples, inverses)."""
-    try:
-        t = [list(row) for row in table]
-    except TypeError:
-        raise ValueError("Cayley table must be square") from None
+    exhaustively (identity, associativity over all triples, inverses).
+    Raises OutOfRangeError unless the table is a nonempty square grid
+    of indices 0..n-1, and ValueError for orders above
+    MAX_VALIDATED_ORDER or a failing law."""
+    t = square_rows(table)
     n = len(t)
-    if n == 0:
-        raise ValueError("empty Cayley table")
-    if any(len(row) != n for row in t):
-        raise ValueError("Cayley table must be square")
-    if n > MAX_VALIDATED_ORDER:
-        raise ValueError("group order %d exceeds the validated maximum %d"
-                         % (n, MAX_VALIDATED_ORDER))
-    for row in t:
-        for j, v in enumerate(row):
-            try:
-                v = row[j] = index(v)
-            except TypeError:
-                raise ValueError("Cayley table entries must be integers") \
-                    from None
-            if not 0 <= v < n:
-                raise ValueError(
-                    "Cayley table entries must lie in 0..%d" % (n - 1))
 
     rng = list(range(n))
     ids = [i for i in rng
@@ -136,12 +155,9 @@ def conjugate(g: FiniteGroup, x: int, y: int) -> int:
 
 def group_by_name(name: str) -> FiniteGroup:
     """Resolve the builtin names accepted on the command line:
-    S2..S5, A3..A5, Z<n>."""
-    m = name.strip().upper()
-    if m.startswith("S") and m[1:].isdigit():
-        return symmetric_group(int(m[1:]))
-    if m.startswith("A") and m[1:].isdigit():
-        return alternating_group(int(m[1:]))
-    if m.startswith("Z") and m[1:].isdigit():
-        return cyclic_group(int(m[1:]))
-    raise ValueError("unknown group name: %r" % (name,))
+    S2..S5, A3..A5, Z<n>, in either case, with ASCII digits only."""
+    m = re.fullmatch(r"([SAZ])(\d+)", name.strip(), re.ASCII | re.IGNORECASE)
+    if m is None:
+        raise ValueError("unknown group name: %r" % (name,))
+    make = {"S": symmetric_group, "A": alternating_group, "Z": cyclic_group}
+    return make[m[1].upper()](int(m[2]))

@@ -126,21 +126,19 @@ def _r1_remove_sites(d: Diagram) -> list[tuple]:
 
 def _r2_add_sites(d: Diagram) -> list[tuple]:
     sites = []
-    for region in d.regions:
-        corners = region.boundary
+    for ri, corners in enumerate(d.regions):
         for ai, ca in enumerate(corners):
             for bi, cb in enumerate(corners):
                 if ai != bi:
                     for over in (True, False):
                         sites.append((ca.edge, ca.side, cb.edge, cb.side,
-                                      over, region.index))
+                                      over, ri))
     return sites
 
 
 def _r2_remove_sites(d: Diagram) -> list[tuple]:
     sites = []
-    for region in d.regions:
-        b = region.boundary
+    for b in d.regions:
         if len(b) != 2:
             continue
         c1, c2 = b
@@ -156,8 +154,7 @@ def _r2_remove_sites(d: Diagram) -> list[tuple]:
 
 def _r3_sites(d: Diagram) -> list[tuple]:
     sites = []
-    for region in d.regions:
-        b = region.boundary
+    for b in d.regions:
         if len(b) != 3:
             continue
         if len({c.crossing for c in b}) != 3:

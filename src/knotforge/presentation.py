@@ -7,8 +7,9 @@ generator per crossing, and one relator per region plus the commutator
 [L, M]; it comes from the handle decomposition of the diagram's
 complement, with the base edge picking where the longitude hangs.
 
-Words are flat sequences of (generator index, +-1) letters.  Relators
-are stored freely and cyclically reduced but otherwise untouched, so a
+A relator is a plain tuple of (generator index, +-1) letters, and a
+presentation's relators are a tuple of them.  Relators are stored
+freely and cyclically reduced but otherwise untouched, so a
 presentation keeps one relator per crossing / region until
 tietze_simplify is asked to clean it up.  That repeats, until none
 applies: reduce the relators and drop empty and duplicate ones; replace
@@ -83,43 +84,24 @@ def canonical_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     return min(_cyclic_words(w)) if w else ()
 
 
-class Word(NamedTuple):
-    """A group word, exponents +-1 per letter; len() counts the
-    letters, not the tuple's one field."""
-
-    letters: tuple[Letter, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def render(self, names: Sequence[str]) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for g, e in self.letters:
-            parts.append(names[g] if e > 0 else names[g] + "⁻¹")
-        return " ".join(parts)
-
-
 class Generator(NamedTuple):
     name: str
     role: str  # "arc", "meridian", "longitude" or "pillar"
-    index: int | None = None
 
 
 class GroupPresentation:
     def __init__(self, generators: tuple[Generator, ...],
-                 relators: tuple[Word, ...]):
+                 relators: tuple[tuple[Letter, ...], ...]):
         self.generators = generators
         self.relators = relators
         n = len(generators)
         for w in relators:
-            for g, e in w.letters:
+            for g, e in w:
                 if not 0 <= g < n:
                     raise ValueError("relator names generator %d of %d" % (g, n))
                 if e not in (-1, 1):
                     raise ValueError("letter exponents must be +-1")
-            if w.letters != cyclic_reduce(free_reduce(w.letters)):
+            if w != cyclic_reduce(free_reduce(w)):
                 raise ValueError("relators must be freely and cyclically reduced")
 
     @property
@@ -128,20 +110,21 @@ class GroupPresentation:
 
     def render_relators(self) -> list[str]:
         names = self.generator_names
-        return [w.render(names) for w in self.relators]
+        return [" ".join(names[g] if e > 0 else names[g] + "⁻¹"
+                         for g, e in w) or "1" for w in self.relators]
 
     def json_dict(self) -> dict:
         names = self.generator_names
         return {
             "generators": list(names),
-            "relators": [[[names[g], e] for g, e in w.letters] for w in self.relators],
+            "relators": [[[names[g], e] for g, e in w] for w in self.relators],
         }
 
 
 def make_presentation(generators: Sequence[Generator],
                       relators: Iterable[Sequence[Letter]]) -> GroupPresentation:
-    words = tuple(Word(cyclic_reduce(free_reduce(r))) for r in relators)
-    return GroupPresentation(tuple(generators), words)
+    return GroupPresentation(tuple(generators), tuple(
+        cyclic_reduce(free_reduce(r)) for r in relators))
 
 
 # ------------------------------------------------- arc presentation
@@ -155,8 +138,7 @@ def wirtinger(d: Diagram) -> GroupPresentation:
     Duplicates and empties are kept so the relator count always equals
     the crossing count.
     """
-    arcs = d.arcs
-    gens = [Generator("x%d" % a.index, "arc", a.index) for a in arcs]
+    gens = [Generator("x%d" % i, "arc") for i in range(len(d.arcs))]
     rels = []
     for x in d.crossings:
         a = d.arc_of_edge[x.under_in]
@@ -207,12 +189,11 @@ def alexander_briggs(d: Diagram, base_edge: int | None = None) -> GroupPresentat
 
     M, L = 0, 1
     gens = [Generator("M", "meridian"), Generator("L", "longitude")]
-    gens += [Generator("p%d" % i, "pillar", i) for i in range(n)]
+    gens += [Generator("p%d" % i, "pillar") for i in range(n)]
 
     rels: list[list[Letter]] = [[(L, -1), (M, -1), (L, 1), (M, 1)]]
-    for region in d.regions:
+    for walk in d.regions:
         word: list[Letter] = []
-        walk = region.boundary
         for i, corner in enumerate(walk):
             q = corner.crossing
             s = corner.quadrant
@@ -332,7 +313,7 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     substituted relator grows past MAX_RELATOR_LENGTH letters.  The
     result is deterministic but not minimal."""
     gens = list(p.generators)
-    rels = [w.letters for w in p.relators]
+    rels = list(p.relators)
     while True:
         rels = _normalize(rels)
         if not (_shorten_once(rels) or _eliminate_once(gens, rels)):
@@ -349,7 +330,7 @@ def abelianize(p: GroupPresentation) -> tuple[int, ...]:
     matrix = []
     for w in p.relators:
         row = [0] * n
-        for g, e in w.letters:
+        for g, e in w:
             row[g] += e
         matrix.append(row)
     diag = smith_diagonal(matrix) if matrix and n else []
@@ -374,7 +355,7 @@ def hom_count(p: GroupPresentation, g: FiniteGroup,
         return tuple((mul if e > 0 else div, gi) for gi, e in word)
 
     cons = []
-    for r in (w.letters for w in p.relators):
+    for r in p.relators:
         seen = Counter(gi for gi, _ in r)
         solvers = {gi: (one, fold(_solve_for(r, i)))
                    for i, (gi, _) in enumerate(r) if seen[gi] == 1}

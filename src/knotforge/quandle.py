@@ -11,17 +11,14 @@ directions.
 from __future__ import annotations
 
 from itertools import permutations
-from operator import index
+import re
 from typing import NamedTuple
 
 from .diagram import Diagram
-from .groups import (MAX_VALIDATED_ORDER, FiniteGroup, conjugate,
-                     symmetric_group)
+# OutOfRangeError is raised by square_rows and exported from here too
+from .groups import (MAX_VALIDATED_ORDER, FiniteGroup, OutOfRangeError,
+                     conjugate, square_rows, symmetric_group)
 from .solve import search
-
-
-class OutOfRangeError(ValueError):
-    """A table entry is not an element index."""
 
 
 class NotClosedError(ValueError):
@@ -43,37 +40,6 @@ class AxiomReport(NamedTuple):
             if c.axiom == axiom:
                 return c.witness
         return None
-
-
-def _rows_of(table) -> list[list[int]]:
-    """The table as nested lists of ints, after checking that it is a
-    nonempty square grid of element indices 0..n-1 whose order is at
-    most groups.MAX_VALIDATED_ORDER, since the axiom check is cubic."""
-    try:
-        rows = [list(row) for row in table]
-    except TypeError:
-        raise OutOfRangeError("table must be square") from None
-    n = len(rows)
-    if n == 0:
-        raise OutOfRangeError("table must be nonempty")
-    if n > MAX_VALIDATED_ORDER:
-        raise ValueError("quandle order %d exceeds the validated maximum %d"
-                         % (n, MAX_VALIDATED_ORDER))
-    for a, row in enumerate(rows):
-        if len(row) != n:
-            raise OutOfRangeError(
-                "table must be square: row %d has %d entries, not %d"
-                % (a, len(row), n))
-        for b, v in enumerate(row):
-            try:
-                v = row[b] = index(v)
-            except TypeError:
-                raise OutOfRangeError(
-                    "entry table[%d][%d] is not an integer" % (a, b)) from None
-            if not 0 <= v < n:
-                raise OutOfRangeError(
-                    "entry table[%d][%d] is outside 0..%d" % (a, b, n - 1))
-    return rows
 
 
 def _axiom_checks(t: list[list[int]]) -> tuple[AxiomCheck, ...]:
@@ -119,7 +85,7 @@ def check_axioms(table) -> AxiomReport:
     first counterexample of each failing axiom.  Raises OutOfRangeError
     unless table is a nonempty square grid of indices 0..n-1, and
     ValueError for orders above groups.MAX_VALIDATED_ORDER."""
-    checks = _axiom_checks(_rows_of(table))
+    checks = _axiom_checks(square_rows(table))
     return AxiomReport(all(c.ok for c in checks), checks)
 
 
@@ -144,7 +110,7 @@ class FiniteQuandle:
 def from_table(table, name: str = "Q") -> FiniteQuandle:
     """Check the axioms and build the quandle; orders above
     groups.MAX_VALIDATED_ORDER are refused, since the check is cubic."""
-    rows = _rows_of(table)
+    rows = square_rows(table)
     checks = _axiom_checks(rows)
     failing = [c for c in checks if not c.ok]
     if failing:
@@ -219,15 +185,6 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     return False
 
 
-class Coloring(NamedTuple):
-    """Arc index -> quandle element, as a tuple indexed by arc."""
-
-    assignment: tuple[int, ...]
-
-    def json_list(self) -> list[int]:
-        return list(self.assignment)
-
-
 class ColoringCount(NamedTuple):
     total: int
     nontrivial: int
@@ -263,23 +220,23 @@ def count_colorings(d: Diagram, q: FiniteQuandle,
 
 
 def list_colorings(d: Diagram, q: FiniteQuandle,
-                   limit: int | None = None) -> list[Coloring]:
-    """Satisfying colorings in lexicographic order of the arc color
-    tuple, at most limit of them if one is given.  Every coloring is
-    found by the same search as count_colorings, then sorted."""
+                   limit: int | None = None) -> list[tuple[int, ...]]:
+    """Satisfying colorings, each a tuple of quandle elements indexed
+    by arc, in lexicographic order, at most limit of them if one is
+    given.  Every coloring is found by the same search as
+    count_colorings, then sorted."""
     found: list[tuple[int, ...]] = []
     search(len(d.arcs), q.order, _constraints(d, q), found=found)
     found.sort()
     if limit is not None:
         found = found[:max(limit, 0)]
-    return [Coloring(c) for c in found]
+    return found
 
 
 def quandle_by_name(name: str) -> FiniteQuandle:
-    """Builtin quandle names for the command line: R<n> and QS4."""
-    m = name.strip().upper()
-    if m == "QS4":
-        return tetrahedral()
-    if m.startswith("R") and m[1:].isdigit():
-        return dihedral(int(m[1:]))
-    raise ValueError("unknown quandle name: %r" % (name,))
+    """Builtin quandle names for the command line: R<n> and QS4, in
+    either case, with ASCII digits only."""
+    m = re.fullmatch(r"R(\d+)|(QS4)", name.strip(), re.ASCII | re.IGNORECASE)
+    if m is None:
+        raise ValueError("unknown quandle name: %r" % (name,))
+    return tetrahedral() if m[2] else dihedral(int(m[1]))

@@ -52,7 +52,7 @@ def brute_hom_count(p, g, allowed=None) -> int:
     pool = range(g.order) if allowed is None else list(allowed)
     total = 0
     for images in itertools.product(pool, repeat=len(p.generators)):
-        if all(word_image(w.letters, images, g) == g.identity
+        if all(word_image(w, images, g) == g.identity
                for w in p.relators):
             total += 1
     return total

@@ -126,7 +126,7 @@ def test_criterion_05_wirtinger_fidelity():
     ]
     t0 = time.perf_counter()
     p = wirtinger(trefoil)
-    got = canonical_set([w.letters for w in p.relators])
+    got = canonical_set(p.relators)
     hit = False
     for perm in itertools.permutations(range(3)):
         relabeled = [[(perm[g], e) for g, e in r] for r in reference]
@@ -149,10 +149,10 @@ def test_criterion_06_simplification_fidelity():
     t0 = time.perf_counter()
     qa = tietze_simplify(wirtinger(trefoil))
     assert (len(qa.generators), len(qa.relators)) == (2, 1)
-    assert canonical_letters(qa.relators[0].letters) in targets
+    assert canonical_letters(qa.relators[0]) in targets
     qb = tietze_simplify(alexander_briggs(trefoil))
     assert (len(qb.generators), len(qb.relators)) == (2, 1)
-    assert canonical_letters(qb.relators[0].letters) in targets
+    assert canonical_letters(qb.relators[0]) in targets
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.010
     report_pass(6, "both trefoil presentations simplify to xyx(yxy)⁻¹",
@@ -166,7 +166,7 @@ def test_criterion_07_region_presentation_fidelity():
     t0 = time.perf_counter()
     p = alexander_briggs(trefoil)
     assert len(p.generators) == 5 and len(p.relators) == 6
-    assert canonical_set([w.letters for w in p.relators]) \
+    assert canonical_set(p.relators) \
         == canonical_set(TREFOIL_REGION_RELATORS)
     for d in (trefoil, fig8):
         pw, pr = wirtinger(d), alexander_briggs(d)
@@ -209,7 +209,7 @@ def test_criterion_09_one_fewer_relator():
         p = wirtinger(builtin(name).diagram())
         full = (hom_count(p, s3), hom_count(p, a4))
         for drop in range(len(p.relators)):
-            rest = [w.letters for i, w in enumerate(p.relators) if i != drop]
+            rest = [w for i, w in enumerate(p.relators) if i != drop]
             q = make_presentation(p.generators, rest)
             assert (hom_count(q, s3), hom_count(q, a4)) == full
     elapsed = time.perf_counter() - t0

@@ -46,12 +46,12 @@ def test_shape_and_names(trefoil):
 def test_first_relator_is_commutator(trefoil, fig8):
     for d in (trefoil, fig8):
         p = alexander_briggs(d)
-        assert p.relators[0].letters == ((1, -1), (0, -1), (1, 1), (0, 1))
+        assert p.relators[0] == ((1, -1), (0, -1), (1, 1), (0, 1))
 
 
 def test_trefoil_relators_match_hand_walk(trefoil):
     p = alexander_briggs(trefoil)
-    got = sorted(canonical_letters(w.letters) for w in p.relators)
+    got = sorted(canonical_letters(w) for w in p.relators)
     want = sorted(canonical_letters(r) for r in TREFOIL_REGION_RELATORS)
     assert got == want
 

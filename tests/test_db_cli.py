@@ -4,22 +4,27 @@ import sys
 
 import pytest
 
+import knotforge
 from knotforge import (
+    alexander_briggs,
     builtin,
     builtin_names,
     count_colorings,
     dihedral,
     distinguish,
     hom_count,
+    list_colorings,
     parse_pd,
     report,
     symmetric_group,
     tetrahedral,
+    tietze_simplify,
     wirtinger,
 )
 from knotforge.cli import main
 from knotforge.db import UnknownKnotError, Verdict
-from knotforge.quandle import from_table
+from knotforge.groups import group_by_name
+from knotforge.quandle import from_table, quandle_by_name
 from oracles import braid_closure_pd
 
 
@@ -30,6 +35,22 @@ def test_builtin_lookup():
     with pytest.raises(UnknownKnotError) as e:
         builtin("granny")
     assert "granny" in str(e.value) and "figure8" in str(e.value)
+
+
+def test_plain_tuple_data():
+    # relators, colorings, arcs and regions are plain tuples
+    for name in builtin_names():
+        d = builtin(name).diagram()
+        pres = [wirtinger(d)]
+        if d.crossing_count:
+            pres.append(alexander_briggs(d))
+        pres += [tietze_simplify(p) for p in pres]
+        rows = [r for p in pres for r in p.relators]
+        rows += list_colorings(d, dihedral(3)) + list(d.arcs) + list(d.regions)
+        assert rows and all(type(r) is tuple for r in rows), name
+    assert len(set(knotforge.__all__)) == len(knotforge.__all__)
+    for attr in knotforge.__all__:
+        assert hasattr(knotforge, attr), attr
 
 
 def test_distinguish_pairs():
@@ -181,6 +202,24 @@ def test_cli_unknown_quandle_names_offender(capsys):
                            "--quandle", "K7")
     assert code == 2
     assert "K7" in err
+
+
+def test_names_take_ascii_digits_only(capsys):
+    # other scripts' digits, superscripts and the long s (whose upper
+    # case is S) are not part of a name
+    for verb, opt, by_name, kind, names in (
+            ("colorings", "--quandle", quandle_by_name, "quandle",
+             ("R\u0663", "R\u00b2")),
+            ("homcount", "--groups", group_by_name, "group",
+             ("Z\u0661\u0662", "S\u00b3", "\u017f3"))):
+        for name in names:
+            msg = "unknown %s name: %r" % (kind, name)
+            with pytest.raises(ValueError) as e:
+                by_name(name)
+            assert str(e.value) == msg
+            code, out, err = run_cli(capsys, verb, "--knot", "trefoil",
+                                     opt, name)
+            assert (code, out, err) == (2, "", "error: %s\n" % msg)
 
 
 def test_cli_rejects_quandle_order_over_cap(capsys):

@@ -39,7 +39,7 @@ def test_unknot_shape(unknot):
 def test_arcs_partition_edges(trefoil, fig8):
     for d in (trefoil, fig8):
         assert len(d.arcs) == d.crossing_count
-        seen = sorted(e for a in d.arcs for e in a.edges)
+        seen = sorted(e for a in d.arcs for e in a)
         assert seen == list(range(1, d.edge_count + 1))
 
 
@@ -53,7 +53,7 @@ def test_corner_bookkeeping(trefoil, fig8):
     # every edge shows up on region boundaries exactly twice, once per
     # side, and the total corner count is 4V
     for d in (trefoil, fig8):
-        corners = [c for r in d.regions for c in r.boundary]
+        corners = [c for r in d.regions for c in r]
         assert len(corners) == 4 * d.crossing_count
         by_edge = {}
         for c in corners:
@@ -74,7 +74,7 @@ def test_deterministic_rebuild():
     a, b = parse_pd(TREFOIL_PD), parse_pd(TREFOIL_PD)
     assert a.render_pd() == b.render_pd()
     assert [x.slots for x in a.crossings] == [x.slots for x in b.crossings]
-    assert [r.boundary for r in a.regions] == [r.boundary for r in b.regions]
+    assert a.regions == b.regions
     assert a.arcs == b.arcs
 
 

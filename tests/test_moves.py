@@ -213,7 +213,7 @@ def test_no_region_meets_an_edge_twice(seed):
         rng, rng.randint(2, 4), rng.randint(8, 60))))
     for d in diagrams:
         for r in d.regions:
-            edges = [c.edge for c in r.boundary]
+            edges = [c.edge for c in r]
             assert len(set(edges)) == len(edges), d.render_pd()
 
 
