@@ -77,10 +77,6 @@ class Crossing(NamedTuple):
     def over_out(self) -> int:
         return self.slots[3] if self.sign > 0 else self.slots[1]
 
-    def in_slots(self) -> tuple[int, int]:
-        """Slot positions where a strand enters this crossing."""
-        return (0, 1) if self.sign > 0 else (0, 3)
-
     def out_slots(self) -> tuple[int, int]:
         return (2, 3) if self.sign > 0 else (2, 1)
 
@@ -309,19 +305,49 @@ def _from_quads(quads: list[tuple[int, int, int, int]]) -> Diagram:
 
 
 def canonical_pd(d: Diagram) -> str:
-    """Least PD text over all rotations of the edge numbering.
+    """Least PD text over all rotations of the edge numbering, tokens
+    sorted by edge tuple; move round-trips are compared by it.
 
-    Two diagrams differing only in where edge 1 starts get the same
-    canonical text, which is how move round-trips are compared.
+    The least text starts ``X[1,`` (``"X[1,"`` < ``"X[10,"`` <
+    ``"X[2,"``), so only the n rotations that relabel some under-in
+    edge to 1 are candidates, and each lists the crossings in under-in
+    order from its start.  If the crossings' descriptors (slot offsets
+    from the under-in edge, gap to the next under-in edge) repeat with
+    period p, found by the KMP failure function, starts i and i + p
+    give one text, so starts 0..p-1 suffice.  These play a tournament,
+    token by token, keeping the starts whose token is least.  Token
+    strings are compared, not tuples, as ``"10"`` < ``"9"``; no token is
+    a prefix of another, so this orders the texts.  At most n * p
+    tokens are rendered; p = 1 on T(2, k).
     """
     if d.unknot_flag:
         return "U"
-    m = d.edge_count
-    best = None
-    for shift in range(m):
-        relabel = lambda e: (e - 1 - shift) % m + 1
-        toks = sorted(tuple(relabel(e) for e in x.slots) for x in d.crossings)
-        text = ";".join("X[%d,%d,%d,%d]" % t for t in toks)
-        if best is None or text < best:
-            best = text
-    return best
+    quads = sorted(x.slots for x in d.crossings)
+    n, m = len(quads), d.edge_count
+    under = [q[0] for q in quads]
+    # slot 2 is always one past slot 0, so its offset is left out
+    desc = [((q[1] - u) % m, (q[3] - u) % m, (under[(i + 1) % n] - u) % m)
+            for i, (u, q) in enumerate(zip(under, quads))]
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and desc[i] != desc[k]:
+            k = fail[k - 1]
+        if desc[i] == desc[k]:
+            k += 1
+        fail[i] = k
+    p = n - fail[-1]    # the descriptors' cyclic period when it divides n
+
+    def token(start: int, i: int) -> str:
+        base = under[start]
+        return "X[%d,%d,%d,%d]" % tuple(
+            (e - base) % m + 1 for e in quads[(start + i) % n])
+
+    alive = list(range(n if n % p else p))
+    for i in range(n):
+        if len(alive) == 1:
+            break
+        toks = [token(s, i) for s in alive]
+        least = min(toks)
+        alive = [s for s, t in zip(alive, toks) if t == least]
+    return ";".join(token(alive[0], i) for i in range(n))

@@ -155,8 +155,10 @@ def conjugate(g: FiniteGroup, x: int, y: int) -> int:
 
 def group_by_name(name: str) -> FiniteGroup:
     """Resolve the builtin names accepted on the command line:
-    S2..S5, A3..A5, Z<n>, in either case, with ASCII digits only."""
-    m = re.fullmatch(r"([SAZ])(\d+)", name.strip(), re.ASCII | re.IGNORECASE)
+    S2..S5, A3..A5, Z<n>, in either case, with one to four ASCII
+    digits (int() refuses strings past its digit limit)."""
+    m = re.fullmatch(r"([SAZ])(\d{1,4})", name.strip(),
+                     re.ASCII | re.IGNORECASE)
     if m is None:
         raise ValueError("unknown group name: %r" % (name,))
     make = {"S": symmetric_group, "A": alternating_group, "Z": cyclic_group}

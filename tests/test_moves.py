@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from knotforge import (
     KINDS,
+    MoveSite,
     StaleSiteError,
     apply_move,
     builtin,
@@ -254,3 +255,29 @@ def test_large_move_results_parse_back():
                apply_move(pushed, find_sites(pushed, "R3")[0])]
     for d in results:
         assert_parses_back(d)
+
+
+def r2_add_payloads(d):
+    """R2_ADD payloads as the plain nested loop over ordered corner
+    pairs of each region."""
+    out = []
+    for ri, corners in enumerate(d.regions):
+        for ai, ca in enumerate(corners):
+            for bi, cb in enumerate(corners):
+                if ai != bi:
+                    for over in (True, False):
+                        out.append((ca.edge, ca.side, cb.edge, cb.side,
+                                    over, ri))
+    return out
+
+
+def test_find_sites_shape():
+    diagrams = [builtin(name).diagram() for name in builtin_names()]
+    diagrams.append(parse_pd(random_braid_knot(random.Random(7), 3, 300)))
+    for d in diagrams:
+        every = find_sites(d)
+        assert all(type(s) is MoveSite for s in every)
+        assert every == [s for k in KINDS for s in find_sites(d, k)]
+        r2 = find_sites(d, "R2_ADD")
+        assert [s.payload for s in r2] == r2_add_payloads(d)
+        assert {s.signature for s in every} == {d.render_pd()}
